@@ -22,6 +22,8 @@
 //	-measured           report measured CPU instead of counted CPU
 //	-json               also merge results into BENCH_divbench.json
 //	-profile            also merge a traced per-operator profile section
+//	-check              exit nonzero unless every cell's counted CPU and
+//	                    simulated I/O equal the committed table4 section
 //
 // batch flags (batch-vs-tuple execution ablation):
 //
@@ -35,10 +37,10 @@
 //
 //	-s 100 -q 400 -noise 5   workload shape
 //	-workers 1,2,4,8         worker counts to sweep
-//	-reps 3                  repetitions (min wall clock wins)
+//	-reps 5                  interleaved repetitions (the median wins)
 //	-json                    merge a parallel_scaling section into BENCH_divbench.json
 //	-check                   exit nonzero unless morsel@4 workers beats serial
-//	                         (skipped when GOMAXPROCS < 2)
+//	                         on the medians (skipped when GOMAXPROCS < 2)
 package main
 
 import (
@@ -47,6 +49,7 @@ import (
 	"fmt"
 	"os"
 	"runtime"
+	"slices"
 	"strconv"
 	"strings"
 	"time"
@@ -227,6 +230,7 @@ func runTable4(args []string) error {
 	measured := fs.Bool("measured", false, "report measured CPU instead of counted CPU")
 	jsonOut := fs.Bool("json", false, "merge results into "+benchJSONFile)
 	profileOut := fs.Bool("profile", false, "merge a traced per-operator profile section into "+benchJSONFile)
+	check := fs.Bool("check", false, "exit nonzero unless every cell's counted CPU and simulated I/O equal the committed table4 section of "+benchJSONFile)
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -245,18 +249,26 @@ func runTable4(args []string) error {
 	}
 	fmt.Print(bench.FormatTable4(rows, !*measured))
 	fmt.Printf("(grid of %d cells in %v; geometry=%s)\n", len(rows)*6, time.Since(start).Round(time.Millisecond), *geometry)
-	if *jsonOut {
-		var cells []table4JSONCell
-		for _, row := range rows {
-			for _, c := range row.Cells {
-				cells = append(cells, table4JSONCell{
-					S: c.S, Q: c.Q, R: c.R, Algorithm: c.Alg.String(),
-					NsOp:         c.MeasuredCPU.Nanoseconds(),
-					CountedCPUMS: c.CountedCPUMS,
-					SimIOMS:      c.SimulatedIO,
-				})
-			}
+	var cells []table4JSONCell
+	for _, row := range rows {
+		for _, c := range row.Cells {
+			cells = append(cells, table4JSONCell{
+				S: c.S, Q: c.Q, R: c.R, Algorithm: c.Alg.String(),
+				NsOp:         c.MeasuredCPU.Nanoseconds(),
+				CountedCPUMS: c.CountedCPUMS,
+				SimIOMS:      c.SimulatedIO,
+			})
 		}
+	}
+	if *check {
+		// Check before any -json write, so a regeneration cannot pass by
+		// comparing the grid with itself.
+		if err := checkTable4(benchJSONFile, *geometry, cells); err != nil {
+			return err
+		}
+		fmt.Printf("(-check passed: %d cells equal the committed table4 section)\n", len(cells))
+	}
+	if *jsonOut {
 		section := map[string]any{"geometry": *geometry, "cells": cells}
 		if err := writeJSONSection(benchJSONFile, "table4", section); err != nil {
 			return err
@@ -273,6 +285,57 @@ func runTable4(args []string) error {
 			return err
 		}
 		fmt.Printf("(wrote profile section at |S|=|Q|=%d to %s)\n", n, benchJSONFile)
+	}
+	return nil
+}
+
+// checkTable4 compares recomputed cells with the committed table4 section
+// of the results file. Counted CPU and simulated I/O are deterministic, so
+// each must equal its committed value exactly; ns_op is wall clock and is
+// not compared. Every recomputed cell must be committed, under the same
+// geometry.
+func checkTable4(path, geometry string, cells []table4JSONCell) error {
+	data, err := os.ReadFile(path)
+	if err != nil {
+		return fmt.Errorf("table4 -check: %w", err)
+	}
+	var doc struct {
+		Table4 *struct {
+			Geometry string           `json:"geometry"`
+			Cells    []table4JSONCell `json:"cells"`
+		} `json:"table4"`
+	}
+	if err := json.Unmarshal(data, &doc); err != nil {
+		return fmt.Errorf("table4 -check: %s: %w", path, err)
+	}
+	if doc.Table4 == nil {
+		return fmt.Errorf("table4 -check: %s has no table4 section", path)
+	}
+	if doc.Table4.Geometry != geometry {
+		return fmt.Errorf("table4 -check: committed section has geometry %q, run has %q", doc.Table4.Geometry, geometry)
+	}
+	type cellKey struct {
+		s, q int
+		alg  string
+	}
+	committed := make(map[cellKey]table4JSONCell, len(doc.Table4.Cells))
+	for _, c := range doc.Table4.Cells {
+		committed[cellKey{c.S, c.Q, c.Algorithm}] = c
+	}
+	var diffs []string
+	for _, c := range cells {
+		want, ok := committed[cellKey{c.S, c.Q, c.Algorithm}]
+		switch {
+		case !ok:
+			diffs = append(diffs, fmt.Sprintf("|S|=%d |Q|=%d %s: not committed", c.S, c.Q, c.Algorithm))
+		case c.R != want.R || c.CountedCPUMS != want.CountedCPUMS || c.SimIOMS != want.SimIOMS:
+			diffs = append(diffs, fmt.Sprintf("|S|=%d |Q|=%d %s: |R| %d, counted CPU %v, simulated I/O %v; committed %d, %v, %v",
+				c.S, c.Q, c.Algorithm, c.R, c.CountedCPUMS, c.SimIOMS, want.R, want.CountedCPUMS, want.SimIOMS))
+		}
+	}
+	if len(diffs) > 0 {
+		return fmt.Errorf("table4 -check: %d of %d cells differ from %s:\n  %s",
+			len(diffs), len(cells), path, strings.Join(diffs, "\n  "))
 	}
 	return nil
 }
@@ -500,7 +563,7 @@ type parallelScalingPoint struct {
 	Strategy string  `json:"strategy"`
 	Path     string  `json:"path"`
 	Workers  int     `json:"workers"`
-	Ns       int64   `json:"ns"`      // min wall clock over reps
+	Ns       int64   `json:"ns"`      // median wall clock over reps
 	Speedup  float64 `json:"speedup"` // serial_ns / ns
 }
 
@@ -510,9 +573,9 @@ func runParallel(args []string) error {
 	q := fs.Int("q", 400, "quotient candidates")
 	noise := fs.Int("noise", 5, "non-matching tuples per candidate")
 	workersFlag := fs.String("workers", "1,2,4,8", "comma-separated worker counts")
-	reps := fs.Int("reps", 3, "repetitions per point; minimum wall clock wins")
+	reps := fs.Int("reps", 5, "interleaved repetitions per point; the median wall clock wins")
 	jsonOut := fs.Bool("json", false, "merge a parallel_scaling section into "+benchJSONFile)
-	check := fs.Bool("check", false, "exit nonzero unless the morsel path at 4 workers beats the serial baseline (skipped when GOMAXPROCS < 2)")
+	check := fs.Bool("check", false, "exit nonzero unless the morsel path at 4 workers beats the serial baseline on median wall clock (skipped when GOMAXPROCS < 2)")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -540,9 +603,35 @@ func runParallel(args []string) error {
 		}
 	}
 
-	// Serial baseline: batch-at-a-time hash-division, min wall over reps —
-	// the denominator every speedup is measured against.
-	serialNs := int64(0)
+	combos := []struct {
+		strategy division.PartitionStrategy
+		path     parallel.Path
+	}{
+		{division.QuotientPartitioning, parallel.PathMorsel},
+		{division.QuotientPartitioning, parallel.PathCoordinator},
+		{division.QuotientPartitioning, parallel.PathSharedTable},
+		{division.DivisorPartitioning, parallel.PathMorsel},
+		{division.DivisorPartitioning, parallel.PathCoordinator},
+	}
+	type sweepPoint struct {
+		strategy division.PartitionStrategy
+		path     parallel.Path
+		workers  int
+		samples  []int64
+		bytes    int64
+	}
+	var sweep []sweepPoint
+	for _, c := range combos {
+		for _, workers := range workerCounts {
+			sweep = append(sweep, sweepPoint{strategy: c.strategy, path: c.path, workers: workers})
+		}
+	}
+
+	// Every rep runs the serial baseline (batch-at-a-time hash-division,
+	// the denominator of every speedup) and then each parallel point once,
+	// so a slow spell of the host hits baseline and candidates alike; the
+	// median over reps is what gets reported and gated.
+	var serialSamples []int64
 	for r := 0; r < *reps; r++ {
 		op, err := division.New(division.AlgHashDivision, spec(), division.Env{
 			ExpectedDivisor:  *s,
@@ -555,59 +644,43 @@ func runParallel(args []string) error {
 		if _, err := exec.Drain(op); err != nil {
 			return err
 		}
-		if ns := time.Since(start).Nanoseconds(); r == 0 || ns < serialNs {
-			serialNs = ns
+		serialSamples = append(serialSamples, time.Since(start).Nanoseconds())
+		for i := range sweep {
+			pt := &sweep[i]
+			res, err := parallel.Divide(spec(), parallel.Config{
+				Workers:          pt.workers,
+				Strategy:         pt.strategy,
+				Path:             pt.path,
+				ExpectedQuotient: *q,
+			})
+			if err != nil {
+				return err
+			}
+			pt.bytes = res.Network.BytesShipped
+			pt.samples = append(pt.samples, res.Elapsed.Nanoseconds())
 		}
 	}
+	serialNs := medianNs(serialSamples)
 
 	fmt.Printf("Parallel hash-division scaling (§6): |S|=%d, candidates=%d, |R|=%d, GOMAXPROCS=%d\n",
 		*s, *q, len(inst.Dividend), runtime.GOMAXPROCS(0))
-	fmt.Printf("serial batch hash-division baseline: %s (min of %d)\n",
+	fmt.Printf("serial batch hash-division baseline: %s (median of %d)\n",
 		time.Duration(serialNs).Round(time.Microsecond), *reps)
 	fmt.Printf("%-24s %-12s %8s %10s %8s %12s\n", "strategy", "path", "workers", "elapsed", "speedup", "bytes")
-
-	combos := []struct {
-		strategy division.PartitionStrategy
-		path     parallel.Path
-	}{
-		{division.QuotientPartitioning, parallel.PathMorsel},
-		{division.QuotientPartitioning, parallel.PathCoordinator},
-		{division.QuotientPartitioning, parallel.PathSharedTable},
-		{division.DivisorPartitioning, parallel.PathMorsel},
-		{division.DivisorPartitioning, parallel.PathCoordinator},
-	}
 	var points []parallelScalingPoint
-	for _, c := range combos {
-		for _, workers := range workerCounts {
-			best := int64(0)
-			var bytes int64
-			for r := 0; r < *reps; r++ {
-				res, err := parallel.Divide(spec(), parallel.Config{
-					Workers:          workers,
-					Strategy:         c.strategy,
-					Path:             c.path,
-					ExpectedQuotient: *q,
-				})
-				if err != nil {
-					return err
-				}
-				bytes = res.Network.BytesShipped
-				if ns := res.Elapsed.Nanoseconds(); r == 0 || ns < best {
-					best = ns
-				}
-			}
-			p := parallelScalingPoint{
-				Strategy: c.strategy.String(),
-				Path:     c.path.String(),
-				Workers:  workers,
-				Ns:       best,
-				Speedup:  float64(serialNs) / float64(best),
-			}
-			points = append(points, p)
-			fmt.Printf("%-24s %-12s %8d %10s %8.2f %12d\n",
-				p.Strategy, p.Path, workers,
-				time.Duration(best).Round(time.Microsecond), p.Speedup, bytes)
+	for _, pt := range sweep {
+		ns := medianNs(pt.samples)
+		p := parallelScalingPoint{
+			Strategy: pt.strategy.String(),
+			Path:     pt.path.String(),
+			Workers:  pt.workers,
+			Ns:       ns,
+			Speedup:  float64(serialNs) / float64(ns),
 		}
+		points = append(points, p)
+		fmt.Printf("%-24s %-12s %8d %10s %8.2f %12d\n",
+			p.Strategy, p.Path, p.Workers,
+			time.Duration(ns).Round(time.Microsecond), p.Speedup, pt.bytes)
 	}
 
 	if *jsonOut {
@@ -645,9 +718,21 @@ func runParallel(args []string) error {
 		if morsel4.Speedup <= 1 {
 			return fmt.Errorf("parallel -check: morsel path at 4 workers is not faster than serial (speedup %.2f)", morsel4.Speedup)
 		}
-		fmt.Printf("(-check passed: morsel speedup at 4 workers = %.2f)\n", morsel4.Speedup)
+		fmt.Printf("(-check passed: morsel speedup at 4 workers = %.2f on medians of %d)\n", morsel4.Speedup, *reps)
 	}
 	return nil
+}
+
+// medianNs returns the median of wall-clock samples (the mean of the two
+// middle ones for an even count).
+func medianNs(samples []int64) int64 {
+	sorted := slices.Clone(samples)
+	slices.Sort(sorted)
+	n := len(sorted)
+	if n%2 == 1 {
+		return sorted[n/2]
+	}
+	return (sorted[n/2-1] + sorted[n/2]) / 2
 }
 
 func runExample() error {

@@ -4,8 +4,12 @@ import (
 	"bytes"
 	"encoding/json"
 	"os"
+	"slices"
+	"strings"
 	"testing"
 	"time"
+
+	"repro/internal/bench"
 )
 
 func TestParseSizes(t *testing.T) {
@@ -601,5 +605,72 @@ func TestWALCommitSectionPreservesSiblings(t *testing.T) {
 		if p.Syncs <= 0 || p.SyncsPerAppend <= 0 {
 			t.Errorf("point %+v: sync counters missing", p)
 		}
+	}
+}
+
+func TestCheckTable4(t *testing.T) {
+	path := t.TempDir() + "/" + benchJSONFile
+	committed := []table4JSONCell{
+		{S: 25, Q: 25, R: 625, Algorithm: "naive", NsOp: 1, CountedCPUMS: 260.4, SimIOMS: 82},
+		{S: 25, Q: 25, R: 625, Algorithm: "hash-division", NsOp: 2, CountedCPUMS: 101.1, SimIOMS: 82},
+	}
+	if err := writeJSONSection(path, "table4", map[string]any{"geometry": "paper", "cells": committed}); err != nil {
+		t.Fatal(err)
+	}
+	same := slices.Clone(committed)
+	same[0].NsOp = 99 // wall clock is not compared
+	if err := checkTable4(path, "paper", same); err != nil {
+		t.Errorf("identical counts rejected: %v", err)
+	}
+	if err := checkTable4(path, "analytic", same); err == nil {
+		t.Error("geometry mismatch accepted")
+	}
+	moved := slices.Clone(committed)
+	moved[1].SimIOMS = 82.5
+	if err := checkTable4(path, "paper", moved); err == nil || !strings.Contains(err.Error(), "hash-division") {
+		t.Errorf("moved simulated I/O: err = %v", err)
+	}
+	extra := append(slices.Clone(committed), table4JSONCell{S: 25, Q: 100, Algorithm: "naive"})
+	if err := checkTable4(path, "paper", extra); err == nil {
+		t.Error("uncommitted cell accepted")
+	}
+	if err := checkTable4(t.TempDir()+"/missing.json", "paper", committed); err == nil {
+		t.Error("missing results file accepted")
+	}
+}
+
+// TestCommittedTable4SmallCells recomputes the 25×25 paper-geometry row and
+// holds it to the committed BENCH_divbench.json exactly (CI's
+// `divbench table4 -check` covers the whole grid).
+func TestCommittedTable4SmallCells(t *testing.T) {
+	rows, err := bench.Table4(bench.PaperConfig(), []int{25})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var cells []table4JSONCell
+	for _, c := range rows[0].Cells {
+		cells = append(cells, table4JSONCell{S: c.S, Q: c.Q, R: c.R, Algorithm: c.Alg.String(),
+			CountedCPUMS: c.CountedCPUMS, SimIOMS: c.SimulatedIO})
+	}
+	if err := checkTable4("../../"+benchJSONFile, "paper", cells); err != nil {
+		t.Fatal(err)
+	}
+}
+
+func TestCheckShardSweep(t *testing.T) {
+	sweep := func(speedup8 float64) []ioShardPoint {
+		return []ioShardPoint{{Shards: 1, SpeedupV1: 1}, {Shards: 4, SpeedupV1: 2}, {Shards: 8, SpeedupV1: speedup8}}
+	}
+	if _, err := checkShardSweep(sweep(4)); err != nil {
+		t.Errorf("4x sweep rejected: %v", err)
+	}
+	if _, err := checkShardSweep(sweep(2)); err == nil {
+		t.Error("2x sweep (evictors waiting on each other) accepted")
+	}
+	if _, err := checkShardSweep(sweep(4)[:2]); err == nil {
+		t.Error("sweep without an 8-shard point accepted")
+	}
+	if _, err := checkShardSweep([]ioShardPoint{{Shards: 2, SpeedupV1: 0}, {Shards: 8, SpeedupV1: 0}}); err == nil {
+		t.Error("sweep without a 1-shard baseline accepted")
 	}
 }

@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -268,5 +269,29 @@ func TestConfigDefaults(t *testing.T) {
 	cfg := Config{}.withDefaults()
 	if cfg.PageSize != disk.PaperPageSize || cfg.PoolBytes <= 0 || cfg.Units.Comp == 0 {
 		t.Errorf("withDefaults incomplete: %+v", cfg)
+	}
+}
+
+// TestTable4PaperRowExact pins the |S|=|Q|=400 row of Table 4 in the paper's
+// geometry — 256 KB LRU pool, 8 KB pages — to its exact priced cost. The
+// pool is sharded, and these are the values of a single LRU list; a change
+// to eviction order, write-back order or operation counts moves them.
+func TestTable4PaperRowExact(t *testing.T) {
+	want := map[division.Algorithm]string{
+		division.AlgNaive:        "226882.41",
+		division.AlgSortAgg:      "196900.35",
+		division.AlgSortAggJoin:  "376577.22",
+		division.AlgHashAgg:      "18096.19",
+		division.AlgHashAggJoin:  "98746.11",
+		division.AlgHashDivision: "32912.38",
+	}
+	for _, alg := range division.Algorithms {
+		cell, err := RunCell(alg, 400, 400, PaperConfig())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := fmt.Sprintf("%.2f", cell.TotalMS()); got != want[alg] {
+			t.Errorf("%s: priced cost %s ms, want %s", alg, got, want[alg])
+		}
 	}
 }

@@ -14,10 +14,31 @@
 // own mutex, frame table, LRU/Clock victim list, checksum table, and
 // statistics. Concurrent fixes of different pages therefore contend only when
 // the pages hash to the same shard. The memory budget stays global: frame
-// bytes are reserved against one atomic counter, and a shard that needs room
-// may evict victims from any shard (one shard lock at a time, never nested,
-// so cross-shard eviction cannot deadlock). Aggregate Stats() sums the shards
-// under their locks for a consistent snapshot.
+// bytes are reserved against one atomic counter.
+//
+// The replacement order is global too. Every frame that joins a victim list
+// takes a tick from one pool-wide counter: a frame kept for reuse takes the
+// next positive tick (the warm end), a frame released with the "replace
+// immediately" hint the next negative one (the cold end). Each shard's list
+// is therefore sorted by tick, the pool's oldest victim is the smallest
+// shard front, and the union of the lists is exactly the single list an
+// unsharded pool would keep. Each shard publishes its front's tick in an
+// atomic; an evictor visits shards oldest front first with TryLock and skips
+// a busy shard, so evictors never queue behind one another's device writes.
+// A Clock second chance re-queues the frame with a fresh tick and re-picks
+// the global oldest, and DropClean drops (and writes back) every victim in
+// tick order. Single-threaded, evictions, write-backs and device seeks are
+// exactly those of a one-shard pool; under concurrency a skipped shard makes
+// the order approximate.
+//
+// Each shard has a second lock, wb, held across every write-back of one of
+// its frames: a shard writes back one page at a time, so a one-shard pool
+// serializes all write-backs, while an eviction's device write runs without
+// the shard's main lock — the victim is off the victim list and marked
+// evicting, fixes of its page wait for the write, and fixes of the shard's
+// other pages go on. Locks are taken wb before mu, and at most one shard's
+// at a time, so cross-shard eviction cannot deadlock. Aggregate Stats() sums
+// the shards under their locks for a consistent snapshot.
 //
 // No shard lock is ever held across a device read: a miss installs a loading
 // placeholder, releases the shard lock, performs the read, and then publishes
@@ -37,9 +58,12 @@
 package buffer
 
 import (
+	"cmp"
 	"container/list"
 	"errors"
 	"fmt"
+	"math"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -112,10 +136,8 @@ const PaperPoolBytes = 256 * 1024
 // PaperSortBytes is the paper's 100 KB sort space.
 const PaperSortBytes = 100 * 1024
 
-// minShardBytes is the smallest memory budget worth a shard of its own.
-// Pools below 2*minShardBytes get a single shard, which keeps the many tiny
-// pools in tests (and the victim-order guarantees they assert) exactly as
-// deterministic as the pre-sharding pool.
+// minShardBytes is the smallest memory budget worth a shard of its own;
+// pools below 2*minShardBytes get a single shard.
 const minShardBytes = 32 * 1024
 
 // maxDefaultShards caps the shard count New picks on its own; NewWithShards
@@ -154,9 +176,11 @@ type frame struct {
 	virtual    bool
 	prefetched bool          // loaded by the prefetcher, not yet fixed
 	loading    bool          // a reader owns this frame; data not yet valid
+	evicting   bool          // off the victim list, write-back in flight under home.wb
 	ready      chan struct{} // closed when loading completes (or fails)
 	ref        bool          // Clock reference bit
 	lruElem    *list.Element // non-nil iff on the victim list (fixCount == 0)
+	tick       int64         // global victim order while on the list; smaller = older
 }
 
 // Stats describe pool behaviour since creation or the last ResetStats.
@@ -190,15 +214,53 @@ func (s *Stats) add(o Stats) {
 	s.ChecksumFails += o.ChecksumFails
 }
 
+// noVictim is the published front tick of a shard with an empty victim list.
+const noVictim = math.MaxInt64
+
 // shard is one independently locked slice of the pool: its own frame table,
-// victim list, checksum table, and counters.
+// victim list, checksum table, and counters. mu guards the shard's state;
+// wb is held across every write-back of one of its frames, so a shard writes
+// back one page at a time. Whoever takes both takes wb first.
 type shard struct {
 	id        int
 	mu        sync.Mutex
+	wb        sync.Mutex
 	frames    map[frameKey]*frame
-	lru       *list.List // unpinned frames; front = next eviction candidate
+	lru       *list.List   // unpinned frames in tick order; front = oldest
+	front     atomic.Int64 // tick of lru.Front(), or noVictim; written under mu
 	checksums map[frameKey]uint64
 	stats     Stats
+}
+
+// publishLocked republishes the tick of the victim list's front.
+func (s *shard) publishLocked() {
+	t := int64(noVictim)
+	if el := s.lru.Front(); el != nil {
+		t = el.Value.(*frame).tick
+	}
+	s.front.Store(t)
+}
+
+// removeLocked takes f off the victim list.
+func (s *shard) removeLocked(f *frame) {
+	s.lru.Remove(f.lruElem)
+	f.lruElem = nil
+	s.publishLocked()
+}
+
+// requeueLocked puts f back on the victim list at the place its tick gives
+// it, after a failed write-back took it off.
+func (s *shard) requeueLocked(f *frame) {
+	el := s.lru.Front()
+	for el != nil && el.Value.(*frame).tick < f.tick {
+		el = el.Next()
+	}
+	if el == nil {
+		f.lruElem = s.lru.PushBack(f)
+	} else {
+		f.lruElem = s.lru.InsertBefore(f, el)
+	}
+	s.publishLocked()
 }
 
 // Pool is the buffer manager. It is safe for concurrent use.
@@ -210,6 +272,7 @@ type Pool struct {
 
 	curBytes  atomic.Int64
 	peakBytes atomic.Int64
+	clock     atomic.Int64 // victim ticks handed out so far
 	nextVirt  atomic.Int64
 	retry     atomic.Pointer[RetryPolicy]
 
@@ -237,10 +300,11 @@ func NewWithPolicy(maxBytes int, policy Policy) *Pool {
 	return NewWithShards(maxBytes, policy, defaultShards(maxBytes))
 }
 
-// NewWithShards creates a pool with an explicit shard count. A single shard
-// reproduces the fully serialized pre-sharding pool (useful as a contention
-// baseline); counts that are not powers of two work but select shards by
-// modulo instead of mask.
+// NewWithShards creates a pool with an explicit shard count. Every count
+// evicts in the same global order; a single shard serializes every fix
+// behind one lock and every write-back behind another (useful as a
+// contention baseline). Counts that are not powers of two work but select
+// shards by modulo instead of mask.
 func NewWithShards(maxBytes int, policy Policy, nshards int) *Pool {
 	if maxBytes <= 0 {
 		panic(fmt.Sprintf("buffer: pool size must be positive, got %d", maxBytes))
@@ -263,6 +327,7 @@ func NewWithShards(maxBytes int, policy Policy, nshards int) *Pool {
 			lru:       list.New(),
 			checksums: make(map[frameKey]uint64),
 		}
+		p.shards[i].front.Store(noVictim)
 	}
 	rp := DefaultRetryPolicy()
 	p.retry.Store(&rp)
@@ -342,19 +407,30 @@ func (h *Handle) Unfix(keepLRU bool) error {
 	}
 	f.fixCount--
 	if f.fixCount == 0 {
-		switch p.policy {
-		case Clock:
+		if p.policy == Clock {
 			f.ref = keepLRU // second chance iff the caller wants it kept
-			f.lruElem = s.lru.PushBack(f)
-		default:
-			if keepLRU {
-				f.lruElem = s.lru.PushBack(f)
-			} else {
-				f.lruElem = s.lru.PushFront(f)
-			}
+			p.queueLocked(s, f, true)
+		} else {
+			p.queueLocked(s, f, keepLRU)
 		}
 	}
 	return nil
+}
+
+// queueLocked puts an unpinned frame on its shard's victim list with the
+// next global tick: positive at the warm end (back), negative at the cold
+// end (front). The newest cold frame thus has the smallest tick of all, the
+// newest warm frame the largest, and every list stays sorted by tick.
+func (p *Pool) queueLocked(s *shard, f *frame, warm bool) {
+	t := p.clock.Add(1)
+	if warm {
+		f.tick = t
+		f.lruElem = s.lru.PushBack(f)
+	} else {
+		f.tick = -t
+		f.lruElem = s.lru.PushFront(f)
+	}
+	s.publishLocked()
 }
 
 // WriteBarrier gates dirty-page write-back. When one is installed, the pool
@@ -367,8 +443,9 @@ func (h *Handle) Unfix(keepLRU bool) error {
 type WriteBarrier func(dev disk.Dev, page disk.PageID) error
 
 // SetWriteBarrier installs the write-back barrier (nil removes it). The
-// barrier runs with a shard lock held and must not re-enter the pool; it may
-// block (e.g. on a group commit joining a device sync).
+// barrier runs while the pool holds locks of the page's shard and must not
+// re-enter the pool; it may block (e.g. on a group commit joining a device
+// sync).
 func (p *Pool) SetWriteBarrier(b WriteBarrier) {
 	if b == nil {
 		p.barrier.Store(nil)
@@ -377,23 +454,22 @@ func (p *Pool) SetWriteBarrier(b WriteBarrier) {
 	p.barrier.Store(&b)
 }
 
-// writePageLocked writes a frame's bytes to its device, retrying transient
-// faults per the retry policy, and records the page checksum for
-// verification on the next read. Backoff sleeps happen under the shard lock;
-// with the default microsecond-scale policy that is harmless, and it keeps
-// the frame bytes stable while they are on their way to the device.
-func (p *Pool) writePageLocked(s *shard, key frameKey, data []byte) error {
+// writePage writes a frame's bytes to its device, retrying transient faults
+// per the retry policy, and returns the page checksum to record for
+// verification on the next read. The caller holds the shard's wb lock and
+// keeps the bytes stable: the frame is unfixed and either under the shard
+// lock or off the victim list with evicting set, so nobody can fix it.
+func (p *Pool) writePage(key frameKey, data []byte) (sum uint64, retries int, err error) {
 	if b := p.barrier.Load(); b != nil {
 		if err := (*b)(key.dev, key.page); err != nil {
-			return fmt.Errorf("buffer: write barrier for page %d on %s: %w", key.page, key.dev.Name(), err)
+			return 0, 0, fmt.Errorf("buffer: write barrier for page %d on %s: %w", key.page, key.dev.Name(), err)
 		}
 	}
-	var err error
 	rp := p.retryPolicy()
 	backoff := rp.Backoff
 	for attempt := 0; attempt < rp.attempts(); attempt++ {
 		if attempt > 0 {
-			s.stats.Retries++
+			retries++
 			if backoff > 0 {
 				time.Sleep(backoff)
 				backoff *= 2
@@ -401,15 +477,27 @@ func (p *Pool) writePageLocked(s *shard, key frameKey, data []byte) error {
 		}
 		err = key.dev.Write(key.page, data)
 		if err == nil {
-			s.checksums[key] = disk.Checksum(data)
-			return nil
+			return disk.Checksum(data), retries, nil
 		}
 		if !disk.IsTransient(err) {
-			return err
+			return 0, retries, err
 		}
 	}
-	return fmt.Errorf("buffer: write of page %d on %s gave up after %d attempts: %w",
+	return 0, retries, fmt.Errorf("buffer: write of page %d on %s gave up after %d attempts: %w",
 		key.page, key.dev.Name(), rp.attempts(), err)
+}
+
+// writePageLocked is writePage for a caller holding both of s's locks; it
+// folds the outcome into the shard's checksums and statistics.
+func (p *Pool) writePageLocked(s *shard, f *frame) error {
+	sum, retries, err := p.writePage(f.key, f.data)
+	s.stats.Retries += retries
+	if err != nil {
+		return err
+	}
+	s.checksums[f.key] = sum
+	s.stats.WriteBacks++
+	return nil
 }
 
 // readPage reads a page into data without holding any shard lock, retrying
@@ -454,11 +542,10 @@ func (p *Pool) readPage(key frameKey, data []byte, want uint64, verify bool) (re
 	return retries, csFails, err
 }
 
-// reserve claims need bytes of the global budget, evicting unpinned frames
-// (preferring the caller's home shard) until the claim fits. It never holds
-// a shard lock while looping, so concurrent reservations make independent
-// progress.
-func (p *Pool) reserve(need int, prefer *shard) error {
+// reserve claims need bytes of the global budget, evicting the pool's oldest
+// unpinned frames until the claim fits. It never holds a shard lock while
+// looping, so concurrent reservations make independent progress.
+func (p *Pool) reserve(need int) error {
 	if need > p.maxBytes {
 		return fmt.Errorf("%w: frame of %d bytes exceeds pool of %d", ErrNoMemory, need, p.maxBytes)
 	}
@@ -475,12 +562,15 @@ func (p *Pool) reserve(need int, prefer *shard) error {
 				}
 			}
 		}
-		evicted, err := p.evictOne(prefer)
+		evicted, err := p.evictOne()
 		if err != nil {
 			return err
 		}
 		if !evicted {
-			return fmt.Errorf("%w: need %d bytes, %d in use", ErrNoMemory, need, p.curBytes.Load())
+			if p.curBytes.Load() != cur {
+				continue // a concurrent eviction or release moved the budget
+			}
+			return fmt.Errorf("%w: need %d bytes, %d in use", ErrNoMemory, need, cur)
 		}
 	}
 }
@@ -488,79 +578,123 @@ func (p *Pool) reserve(need int, prefer *shard) error {
 // release returns reserved bytes to the global budget.
 func (p *Pool) release(n int) { p.curBytes.Add(-int64(n)) }
 
-// evictOne evicts a single unpinned frame from some shard, starting at the
-// preferred shard and rotating. Exactly one shard lock is held at a time, so
-// two threads evicting across shards cannot deadlock. Returns false when no
-// shard has an evictable frame.
-func (p *Pool) evictOne(prefer *shard) (bool, error) {
-	start := 0
-	if prefer != nil {
-		start = prefer.id
-	}
-	for i := 0; i < len(p.shards); i++ {
-		s := p.shards[(start+i)%len(p.shards)]
-		s.mu.Lock()
-		evicted, wasPrefetched, err := p.evictFromShardLocked(s)
+// evictOne evicts the pool's oldest unpinned frame, honoring Clock second
+// chances: a set reference bit is cleared, the frame re-queued at the warm
+// end, and the global oldest picked again. Returns false when no shard has
+// an evictable frame.
+func (p *Pool) evictOne() (bool, error) {
+	for {
+		s := p.lockOldest()
+		if s == nil {
+			return false, nil
+		}
+		f := s.lru.Front().Value.(*frame)
+		if p.policy == Clock && f.ref {
+			f.ref = false
+			s.removeLocked(f)
+			p.queueLocked(s, f, true)
+			s.mu.Unlock()
+			s.wb.Unlock()
+			continue
+		}
+		wasted := f.prefetched
+		err := p.evictLocked(s, f)
 		s.mu.Unlock()
+		s.wb.Unlock()
 		if err != nil {
 			return false, err
 		}
-		if evicted {
-			if wasPrefetched {
-				p.notePrefetchWasted()
-			}
-			p.noteEviction(s.id)
-			return true, nil
+		if wasted {
+			p.notePrefetchWasted()
 		}
+		p.noteEviction(s.id)
+		return true, nil
 	}
-	return false, nil
 }
 
-// evictFromShardLocked removes one victim from s, honoring Clock second
-// chances, writing back dirty real frames and discarding virtual ones. A
-// failed write-back leaves the frame at the front of the victim list so a
-// later attempt can retry.
-func (p *Pool) evictFromShardLocked(s *shard) (evicted, wasPrefetched bool, err error) {
-	// Each sweep iteration either evicts or clears one Clock bit, so
-	// 2*len passes bound the scan.
-	for sweep := 2*s.lru.Len() + 1; sweep > 0; sweep-- {
-		el := s.lru.Front()
-		if el == nil {
-			return false, false, nil
-		}
-		f := el.Value.(*frame)
-		if p.policy == Clock && f.ref {
-			// Second chance: clear the bit and move on. The sweep
-			// terminates because each pass clears bits.
-			f.ref = false
-			s.lru.MoveToBack(el)
-			continue
-		}
-		if f.dirty && !f.virtual {
-			if err := p.writePageLocked(s, f.key, f.data); err != nil {
-				return false, false, fmt.Errorf("buffer: write-back: %w", err)
-			}
-			f.dirty = false
-			s.stats.WriteBacks++
-		}
-		s.lru.Remove(el)
-		f.lruElem = nil
-		if f.virtual {
-			s.stats.VirtualLost++
-		}
-		delete(s.frames, f.key)
-		p.release(len(f.data))
-		s.stats.Evictions++
-		return true, f.prefetched, nil
+// lockOldest returns, with both its locks held, the shard whose victim list
+// front is the pool's oldest. A shard either of whose locks is busy —
+// typically wb, across another evictor's write-back — is skipped for the
+// next oldest; only when every candidate is busy does it wait, on the
+// oldest. Returns nil when no shard publishes a victim.
+func (p *Pool) lockOldest() *shard {
+	type cand struct {
+		s    *shard
+		tick int64
 	}
-	return false, false, nil
+	var buf [maxDefaultShards]cand
+	for {
+		order := buf[:0]
+		for _, s := range p.shards {
+			if t := s.front.Load(); t != noVictim {
+				order = append(order, cand{s, t})
+				for i := len(order) - 1; i > 0 && order[i].tick < order[i-1].tick; i-- {
+					order[i], order[i-1] = order[i-1], order[i]
+				}
+			}
+		}
+		if len(order) == 0 {
+			return nil
+		}
+		for _, c := range order {
+			if !c.s.wb.TryLock() {
+				continue
+			}
+			if c.s.mu.TryLock() {
+				if c.s.lru.Len() > 0 {
+					return c.s
+				}
+				c.s.mu.Unlock()
+			}
+			c.s.wb.Unlock()
+		}
+		s := order[0].s
+		s.wb.Lock()
+		s.mu.Lock()
+		if s.lru.Len() > 0 {
+			return s
+		}
+		s.mu.Unlock()
+		s.wb.Unlock()
+	}
+}
+
+// evictLocked removes victim f from s, writing back a dirty real frame and
+// discarding a virtual one; the caller holds both of s's locks. The device
+// write runs with only wb held: f is off the victim list and marked
+// evicting, so a fix of its page waits for wb while fixes of the shard's
+// other pages go on. A failed write-back puts the frame back at its place in
+// the victim order so a later attempt can retry.
+func (p *Pool) evictLocked(s *shard, f *frame) error {
+	s.removeLocked(f)
+	if f.dirty && !f.virtual {
+		f.evicting = true
+		s.mu.Unlock()
+		sum, retries, err := p.writePage(f.key, f.data)
+		s.mu.Lock()
+		s.stats.Retries += retries
+		f.evicting = false
+		if err != nil {
+			s.requeueLocked(f)
+			return fmt.Errorf("buffer: write-back: %w", err)
+		}
+		s.checksums[f.key] = sum
+		f.dirty = false
+		s.stats.WriteBacks++
+	}
+	if f.virtual {
+		s.stats.VirtualLost++
+	}
+	delete(s.frames, f.key)
+	p.release(len(f.data))
+	s.stats.Evictions++
+	return nil
 }
 
 // pinLocked marks an existing frame fixed, removing it from the victim list.
 func (s *shard) pinLocked(f *frame) {
 	if f.lruElem != nil {
-		s.lru.Remove(f.lruElem)
-		f.lruElem = nil
+		s.removeLocked(f)
 	}
 	f.fixCount++
 }
@@ -585,6 +719,14 @@ func (p *Pool) Fix(dev disk.Dev, page disk.PageID) (*Handle, error) {
 				ready := f.ready
 				s.mu.Unlock()
 				<-ready
+				continue
+			}
+			if f.evicting {
+				// The evictor holds wb until the frame is gone (or back
+				// on the victim list after a failed write).
+				s.mu.Unlock()
+				s.wb.Lock()
+				s.wb.Unlock()
 				continue
 			}
 			s.stats.Fixes++
@@ -614,7 +756,7 @@ func (p *Pool) Fix(dev disk.Dev, page disk.PageID) (*Handle, error) {
 		s.mu.Unlock()
 
 		var data []byte
-		err := p.reserve(dev.PageSize(), s)
+		err := p.reserve(dev.PageSize())
 		var retries, csFails int
 		if err == nil {
 			data = make([]byte, dev.PageSize())
@@ -649,7 +791,7 @@ func (p *Pool) NewPage(dev disk.Dev) (disk.PageID, *Handle, error) {
 	page := dev.Alloc()
 	key := frameKey{dev: dev, page: page}
 	s := p.shardFor(key)
-	if err := p.reserve(dev.PageSize(), s); err != nil {
+	if err := p.reserve(dev.PageSize()); err != nil {
 		return disk.InvalidPage, nil, err
 	}
 	f := &frame{key: key, home: s, data: make([]byte, dev.PageSize()), dirty: true, fixCount: 1}
@@ -665,7 +807,7 @@ func (p *Pool) NewPage(dev disk.Dev) (disk.PageID, *Handle, error) {
 func (p *Pool) FixVirtual(size int) (*Handle, error) {
 	key := frameKey{dev: nil, page: disk.PageID(p.nextVirt.Add(1) - 1)}
 	s := p.shardFor(key)
-	if err := p.reserve(size, s); err != nil {
+	if err := p.reserve(size); err != nil {
 		return nil, err
 	}
 	f := &frame{key: key, home: s, data: make([]byte, size), virtual: true, fixCount: 1}
@@ -682,7 +824,7 @@ func (p *Pool) Refix(h *Handle) (*Handle, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	f, ok := s.frames[h.f.key]
-	if !ok || f != h.f {
+	if !ok || f != h.f || f.evicting {
 		if h.f.virtual {
 			return nil, ErrEvicted
 		}
@@ -696,50 +838,70 @@ func (p *Pool) Refix(h *Handle) (*Handle, error) {
 // flushed but stay resident and fixed.
 func (p *Pool) FlushAll() error {
 	for _, s := range p.shards {
+		// Holding wb first lets any in-flight eviction write-back finish.
+		s.wb.Lock()
 		s.mu.Lock()
 		for _, f := range s.frames {
 			if f.dirty && !f.virtual && !f.loading {
-				if err := p.writePageLocked(s, f.key, f.data); err != nil {
+				if err := p.writePageLocked(s, f); err != nil {
 					s.mu.Unlock()
+					s.wb.Unlock()
 					return fmt.Errorf("buffer: flush: %w", err)
 				}
 				f.dirty = false
-				s.stats.WriteBacks++
 			}
 		}
 		s.mu.Unlock()
+		s.wb.Unlock()
 	}
 	return nil
 }
 
-// DropClean discards every unfixed frame without write-back accounting
-// changes (dirty unfixed frames are written back first). Used between
-// experiment runs to cold-start the cache.
+// DropClean discards every unfixed frame, oldest first in the global victim
+// order, writing dirty real frames back on the way out, so the device sees
+// the write-backs in the order a one-shard pool would issue them. Used
+// between experiment runs to cold-start the cache. Frames fixed while it
+// runs stay resident; eviction write-backs in flight finish first.
 func (p *Pool) DropClean() error {
+	type victim struct {
+		f    *frame
+		tick int64
+	}
+	var victims []victim
 	for _, s := range p.shards {
-		var droppedPrefetched int
+		s.wb.Lock()
 		s.mu.Lock()
-		for el := s.lru.Front(); el != nil; {
-			next := el.Next()
+		for el := s.lru.Front(); el != nil; el = el.Next() {
 			f := el.Value.(*frame)
-			if f.dirty && !f.virtual {
-				if err := p.writePageLocked(s, f.key, f.data); err != nil {
-					s.mu.Unlock()
-					return fmt.Errorf("buffer: drop: %w", err)
-				}
-				s.stats.WriteBacks++
-			}
-			if f.prefetched {
-				droppedPrefetched++
-			}
-			s.lru.Remove(el)
-			f.lruElem = nil
-			delete(s.frames, f.key)
-			p.release(len(f.data))
-			el = next
+			victims = append(victims, victim{f, f.tick})
 		}
 		s.mu.Unlock()
-		for i := 0; i < droppedPrefetched; i++ {
+		s.wb.Unlock()
+	}
+	slices.SortFunc(victims, func(a, b victim) int { return cmp.Compare(a.tick, b.tick) })
+	for _, v := range victims {
+		f, s := v.f, v.f.home
+		s.wb.Lock()
+		s.mu.Lock()
+		if f.lruElem == nil { // fixed or evicted since the snapshot
+			s.mu.Unlock()
+			s.wb.Unlock()
+			continue
+		}
+		if f.dirty && !f.virtual {
+			if err := p.writePageLocked(s, f); err != nil {
+				s.mu.Unlock()
+				s.wb.Unlock()
+				return fmt.Errorf("buffer: drop: %w", err)
+			}
+		}
+		wasted := f.prefetched
+		s.removeLocked(f)
+		delete(s.frames, f.key)
+		p.release(len(f.data))
+		s.mu.Unlock()
+		s.wb.Unlock()
+		if wasted {
 			p.notePrefetchWasted()
 		}
 	}

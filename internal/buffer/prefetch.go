@@ -179,7 +179,7 @@ func (pf *Prefetcher) Drain() {
 }
 
 // load performs one asynchronous page read and publishes the frame unpinned
-// at the warm end of its shard's victim list. Any failure deletes the
+// at the warm end of the global victim order. Any failure deletes the
 // placeholder so the next synchronous Fix retries from scratch.
 func (pf *Prefetcher) load(key frameKey) {
 	p := pf.pool
@@ -219,7 +219,7 @@ func (pf *Prefetcher) load(key frameKey) {
 	}
 
 	need := key.dev.PageSize()
-	if err := p.reserve(need, s); err != nil {
+	if err := p.reserve(need); err != nil {
 		abort()
 		return
 	}
@@ -242,7 +242,7 @@ func (pf *Prefetcher) load(key frameKey) {
 	f.loading = false
 	f.fixCount = 0
 	f.prefetched = true
-	f.lruElem = s.lru.PushBack(f)
+	p.queueLocked(s, f, true)
 	if p.policy == Clock {
 		f.ref = true
 	}

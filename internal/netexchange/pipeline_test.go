@@ -275,6 +275,10 @@ func TestWorkerBudgetDepthCapTyped(t *testing.T) {
 	if !errors.Is(err, division.ErrPartitionDepth) && !errors.Is(err, division.ErrMemoryBudget) {
 		t.Fatalf("error %v does not unwrap to a typed division sentinel", err)
 	}
+	// The first worker error ends Divide while the sibling worker may still
+	// be mid-job; Close waits for every worker goroutine, so the leak check
+	// runs at quiescence.
+	cl.Close()
 	if after := storage.LiveSpillFiles(); after != spillBefore {
 		t.Errorf("spill files leaked on failure: %d before, %d after", spillBefore, after)
 	}

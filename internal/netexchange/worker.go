@@ -1,6 +1,7 @@
 package netexchange
 
 import (
+	"errors"
 	"fmt"
 	"io"
 	"net"
@@ -454,11 +455,19 @@ func runBudgetJob(conn net.Conn, fr *frameReader, j jobHeader, qs *tuple.Schema)
 
 	divisorFile := storage.NewSpillFile(pool, dev, ss, "divisor-in")
 	dividendFile := storage.NewSpillFile(pool, dev, ds, "dividend-in")
-	defer func() {
-		if derr := dividendFile.Drop(); derr != nil && err == nil {
-			err = derr
+	// The spooled inputs are dropped as soon as the division is done, before
+	// any result frame goes out: once the coordinator has the last frame the
+	// job must hold no spill file. The deferred call covers early exits.
+	dropped := false
+	dropInputs := func() error {
+		if dropped {
+			return nil
 		}
-		if derr := divisorFile.Drop(); derr != nil && err == nil {
+		dropped = true
+		return errors.Join(dividendFile.Drop(), divisorFile.Drop())
+	}
+	defer func() {
+		if derr := dropInputs(); derr != nil && err == nil {
 			err = derr
 		}
 	}()
@@ -522,6 +531,9 @@ func runBudgetJob(conn net.Conn, fr *frameReader, j jobHeader, qs *tuple.Schema)
 		}
 		obs.Default.Counter("net.worker.budget_spilled_partitions").Add(int64(st.SpilledPartitions))
 		obs.Default.Counter("net.worker.budget_spill_bytes").Add(st.SpillBytes)
+	}
+	if err := dropInputs(); err != nil {
+		return err
 	}
 
 	if j.Strategy == strategyQuotient {

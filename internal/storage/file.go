@@ -499,8 +499,11 @@ func (ps *PageScanner) Close() error {
 	return nil
 }
 
-// Drop flushes nothing and frees every page of the file back to its device.
-// The file is empty and reusable afterwards.
+// Drop frees every page of the file back to its device; the file is empty
+// and reusable afterwards. It first calls the pool's DropClean, which
+// discards every unfixed frame of the whole pool — not just this file's —
+// and writes back each dirty one on the way out, so the device statistics
+// (and the priced I/O of Table 4) include those write-backs.
 func (f *File) Drop() error {
 	if f.spill {
 		f.spill = false
