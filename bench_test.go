@@ -65,21 +65,36 @@ func BenchmarkTable3IOModel(b *testing.B) {
 
 // BenchmarkTable4 reruns the experimental grid, one sub-benchmark per
 // (algorithm, |S|, |Q|) cell, reporting the deterministic paper-style costs
-// as custom metrics.
+// as custom metrics. Each (|S|, |Q|) instance is generated once, and loading
+// it into a fresh pool is left out of the timed region, so ns/op and
+// allocs/op measure the division alone.
 func BenchmarkTable4(b *testing.B) {
 	cfg := bench.PaperConfig()
 	for _, s := range []int{25, 100, 400} {
 		for _, q := range []int{25, 100, 400} {
+			var inst *workload.Instance
 			for _, alg := range division.Algorithms {
 				name := fmt.Sprintf("S=%d/Q=%d/%s", s, q, alg)
 				b.Run(name, func(b *testing.B) {
+					if inst == nil {
+						var err error
+						if inst, err = workload.Generate(workload.PaperCase(s, q, cfg.Seed)); err != nil {
+							b.Fatal(err)
+						}
+					}
+					b.ReportAllocs()
+					b.ResetTimer()
 					var last bench.Cell
 					for i := 0; i < b.N; i++ {
-						cell, err := bench.RunCell(alg, s, q, cfg)
+						b.StopTimer()
+						cell, err := bench.Prepare(alg, inst, s, q, cfg)
 						if err != nil {
 							b.Fatal(err)
 						}
-						last = cell
+						b.StartTimer()
+						if last, err = cell.Run(); err != nil {
+							b.Fatal(err)
+						}
 					}
 					b.ReportMetric(last.SimulatedIO, "sim-io-ms/op")
 					b.ReportMetric(last.CountedCPUMS, "counted-cpu-ms/op")

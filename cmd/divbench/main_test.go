@@ -657,6 +657,26 @@ func TestCommittedTable4SmallCells(t *testing.T) {
 	}
 }
 
+// TestCommittedTable4StampsGOMAXPROCS requires the committed table4
+// section to say how many CPUs its ns_op wall clocks ran on.
+func TestCommittedTable4StampsGOMAXPROCS(t *testing.T) {
+	data, err := os.ReadFile("../../" + benchJSONFile)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var doc struct {
+		Table4 struct {
+			GOMAXPROCS int `json:"gomaxprocs"`
+		} `json:"table4"`
+	}
+	if err := json.Unmarshal(data, &doc); err != nil {
+		t.Fatal(err)
+	}
+	if doc.Table4.GOMAXPROCS < 1 {
+		t.Fatalf("table4 section has no gomaxprocs stamp (%d)", doc.Table4.GOMAXPROCS)
+	}
+}
+
 func TestCheckShardSweep(t *testing.T) {
 	sweep := func(speedup8 float64) []ioShardPoint {
 		return []ioShardPoint{{Shards: 1, SpeedupV1: 1}, {Shards: 4, SpeedupV1: 2}, {Shards: 8, SpeedupV1: speedup8}}

@@ -128,10 +128,34 @@ func RunCell(alg division.Algorithm, s, q int, cfg Config) (Cell, error) {
 }
 
 func runInstance(alg division.Algorithm, inst *workload.Instance, s, q int, cfg Config) (Cell, error) {
+	c, err := Prepare(alg, inst, s, q, cfg)
+	if err != nil {
+		return Cell{}, err
+	}
+	return c.Run()
+}
+
+// PreparedCell is one cell loaded into a fresh pool with its plan built,
+// ready to Run once. Splitting the load from the run lets a Go benchmark
+// time the division alone.
+type PreparedCell struct {
+	alg      division.Algorithm
+	s, q     int
+	inst     *workload.Instance
+	cfg      Config
+	rel      *workload.Relations
+	tempDev  *disk.Device
+	counters *exec.Counters
+	op       exec.Operator
+}
+
+// Prepare loads inst into a fresh pool and builds alg's plan over it.
+func Prepare(alg division.Algorithm, inst *workload.Instance, s, q int, cfg Config) (*PreparedCell, error) {
+	cfg = cfg.withDefaults()
 	pool := buffer.New(cfg.PoolBytes)
 	rel, err := workload.Load(pool, inst, cfg.PageSize)
 	if err != nil {
-		return Cell{}, err
+		return nil, err
 	}
 	tempDev := disk.NewDevice("temp", cfg.RunPageSize)
 
@@ -159,30 +183,38 @@ func runInstance(alg division.Algorithm, inst *workload.Instance, s, q int, cfg 
 
 	op, err := division.New(alg, sp, env)
 	if err != nil {
-		return Cell{}, err
+		return nil, err
 	}
+	return &PreparedCell{alg: alg, s: s, q: q, inst: inst, cfg: cfg, rel: rel,
+		tempDev: tempDev, counters: counters, op: op}, nil
+}
+
+// Run executes the prepared plan, checks the quotient size and collects all
+// three cost views.
+func (c *PreparedCell) Run() (Cell, error) {
+	alg, s, q, cfg := c.alg, c.s, c.q, c.cfg
 	start := time.Now()
-	n, err := exec.Drain(op)
+	n, err := exec.Drain(c.op)
 	elapsed := time.Since(start)
 	if err != nil {
 		return Cell{}, fmt.Errorf("bench: %v on (%d,%d): %w", alg, s, q, err)
 	}
-	if n != len(inst.QuotientIDs) {
+	if n != len(c.inst.QuotientIDs) {
 		return Cell{}, fmt.Errorf("bench: %v on (%d,%d) returned %d quotient tuples, want %d",
-			alg, s, q, n, len(inst.QuotientIDs))
+			alg, s, q, n, len(c.inst.QuotientIDs))
 	}
 
-	io := rel.DividendDev.Stats().
-		Add(rel.DivisorDev.Stats()).
-		Add(tempDev.Stats())
+	io := c.rel.DividendDev.Stats().
+		Add(c.rel.DivisorDev.Stats()).
+		Add(c.tempDev.Stats())
 	return Cell{
 		Alg:          alg,
 		S:            s,
 		Q:            q,
-		R:            len(inst.Dividend),
+		R:            len(c.inst.Dividend),
 		QuotientSize: n,
 		MeasuredCPU:  elapsed,
-		CountedCPUMS: counters.CostMS(cfg.Units.Comp, cfg.Units.Hash, cfg.Units.Move, cfg.Units.Bit),
+		CountedCPUMS: c.counters.CostMS(cfg.Units.Comp, cfg.Units.Hash, cfg.Units.Move, cfg.Units.Bit),
 		SimulatedIO:  io.TotalCostMS(cfg.Cost),
 		IOStats:      io,
 	}, nil

@@ -40,6 +40,18 @@
 // at a time, so cross-shard eviction cannot deadlock. Aggregate Stats() sums
 // the shards under their locks for a consistent snapshot.
 //
+// # Recycled frames
+//
+// A frame's page buffer outlives the frame: eviction and DropClean put it on
+// a pool-wide free list once its write-back has finished, and the next miss,
+// read-ahead or NewPage of the same size takes it from there, so a pool
+// under eviction allocates nothing per miss. Reservation is unchanged — the
+// budget counts resident frames — and the list holds at most the budget's
+// worth of bytes. A slice from Handle.Bytes therefore aliases some other
+// page once its frame is gone; in race-detector builds every recycled
+// buffer is filled with poisonByte, so such a use after Unfix corrupts
+// results loudly instead of reading stale memory.
+//
 // No shard lock is ever held across a device read: a miss installs a loading
 // placeholder, releases the shard lock, performs the read, and then publishes
 // the bytes. Concurrent fixes of the page being loaded wait on the
@@ -284,6 +296,57 @@ type Pool struct {
 	pfHits    atomic.Int64
 	pfWasted  atomic.Int64
 	pfDropped atomic.Int64
+
+	free freeList
+}
+
+// poisonByte fills recycled page buffers when poisonFrames is set.
+const poisonByte = 0xDB
+
+// freeList holds the page buffers of frames that left the pool, by size.
+type freeList struct {
+	mu     sync.Mutex
+	bySize map[int][][]byte
+	bytes  int
+}
+
+// getBuf returns an n-byte page buffer, recycled when the free list has one.
+// Its contents are arbitrary: callers overwrite or clear it.
+func (p *Pool) getBuf(n int) []byte {
+	fl := &p.free
+	fl.mu.Lock()
+	if bufs := fl.bySize[n]; len(bufs) > 0 {
+		b := bufs[len(bufs)-1]
+		bufs[len(bufs)-1] = nil
+		fl.bySize[n] = bufs[:len(bufs)-1]
+		fl.bytes -= n
+		fl.mu.Unlock()
+		return b
+	}
+	fl.mu.Unlock()
+	return make([]byte, n)
+}
+
+// putBuf recycles the buffer of a frame that is gone from its shard and
+// whose write-back, if any, has finished. Beyond the pool budget it is left
+// to the garbage collector.
+func (p *Pool) putBuf(b []byte) {
+	if poisonFrames {
+		for i := range b {
+			b[i] = poisonByte
+		}
+	}
+	fl := &p.free
+	fl.mu.Lock()
+	defer fl.mu.Unlock()
+	if fl.bytes+len(b) > p.maxBytes {
+		return
+	}
+	if fl.bySize == nil {
+		fl.bySize = make(map[int][][]byte)
+	}
+	fl.bySize[len(b)] = append(fl.bySize[len(b)], b)
+	fl.bytes += len(b)
 }
 
 // New creates an LRU pool limited to maxBytes of frame memory. The pool
@@ -686,6 +749,7 @@ func (p *Pool) evictLocked(s *shard, f *frame) error {
 		s.stats.VirtualLost++
 	}
 	delete(s.frames, f.key)
+	p.putBuf(f.data)
 	p.release(len(f.data))
 	s.stats.Evictions++
 	return nil
@@ -759,9 +823,10 @@ func (p *Pool) Fix(dev disk.Dev, page disk.PageID) (*Handle, error) {
 		err := p.reserve(dev.PageSize())
 		var retries, csFails int
 		if err == nil {
-			data = make([]byte, dev.PageSize())
+			data = p.getBuf(dev.PageSize())
 			retries, csFails, err = p.readPage(key, data, want, verify)
 			if err != nil {
+				p.putBuf(data)
 				p.release(dev.PageSize())
 			}
 		}
@@ -794,7 +859,9 @@ func (p *Pool) NewPage(dev disk.Dev) (disk.PageID, *Handle, error) {
 	if err := p.reserve(dev.PageSize()); err != nil {
 		return disk.InvalidPage, nil, err
 	}
-	f := &frame{key: key, home: s, data: make([]byte, dev.PageSize()), dirty: true, fixCount: 1}
+	data := p.getBuf(dev.PageSize())
+	clear(data)
+	f := &frame{key: key, home: s, data: data, dirty: true, fixCount: 1}
 	s.mu.Lock()
 	s.frames[key] = f
 	s.mu.Unlock()
@@ -810,7 +877,9 @@ func (p *Pool) FixVirtual(size int) (*Handle, error) {
 	if err := p.reserve(size); err != nil {
 		return nil, err
 	}
-	f := &frame{key: key, home: s, data: make([]byte, size), virtual: true, fixCount: 1}
+	data := p.getBuf(size)
+	clear(data)
+	f := &frame{key: key, home: s, data: data, virtual: true, fixCount: 1}
 	s.mu.Lock()
 	s.frames[key] = f
 	s.mu.Unlock()
@@ -898,6 +967,7 @@ func (p *Pool) DropClean() error {
 		wasted := f.prefetched
 		s.removeLocked(f)
 		delete(s.frames, f.key)
+		p.putBuf(f.data)
 		p.release(len(f.data))
 		s.mu.Unlock()
 		s.wb.Unlock()

@@ -223,8 +223,9 @@ func (pf *Prefetcher) load(key frameKey) {
 		abort()
 		return
 	}
-	data := make([]byte, need)
+	data := p.getBuf(need)
 	if err := key.dev.Read(key.page, data); err != nil {
+		p.putBuf(data)
 		p.release(need)
 		abort()
 		return
@@ -232,6 +233,7 @@ func (pf *Prefetcher) load(key frameKey) {
 	if verify && disk.Checksum(data) != want {
 		// Possibly in-flight corruption: do not install, do not record a
 		// failure against the page. The sync path re-reads and retries.
+		p.putBuf(data)
 		p.release(need)
 		abort()
 		return

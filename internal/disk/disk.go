@@ -12,6 +12,7 @@
 package disk
 
 import (
+	"container/heap"
 	"errors"
 	"fmt"
 	"sync"
@@ -165,11 +166,26 @@ type Device struct {
 	name     string
 	pageSize int
 
-	mu    sync.Mutex
-	pages [][]byte
-	freed map[PageID]bool
-	last  PageID // last page touched, for sequential-access detection
-	stats Stats
+	mu      sync.Mutex
+	pages   [][]byte
+	freed   map[PageID]bool
+	freeIDs pageHeap // the keys of freed, lowest on top
+	last    PageID   // last page touched, for sequential-access detection
+	stats   Stats
+}
+
+// pageHeap is a min-heap of page ids.
+type pageHeap []PageID
+
+func (h pageHeap) Len() int           { return len(h) }
+func (h pageHeap) Less(i, j int) bool { return h[i] < h[j] }
+func (h pageHeap) Swap(i, j int)      { h[i], h[j] = h[j], h[i] }
+func (h *pageHeap) Push(x any)        { *h = append(*h, x.(PageID)) }
+func (h *pageHeap) Pop() any {
+	old := *h
+	x := old[len(old)-1]
+	*h = old[:len(old)-1]
+	return x
 }
 
 var _ Dev = (*Device)(nil)
@@ -209,13 +225,12 @@ func (d *Device) Alloc() PageID {
 }
 
 func (d *Device) allocLocked() PageID {
-	// Prefer reusing a freed page only when it keeps extents contiguous;
-	// simplest faithful policy: reuse arbitrary freed pages.
-	for id := range d.freed {
+	// Reuse the lowest freed page, so page ids — and the seeks charged for
+	// them — depend only on the sequence of Alloc and Free calls.
+	if len(d.freeIDs) > 0 {
+		id := heap.Pop(&d.freeIDs).(PageID)
 		delete(d.freed, id)
-		for i := range d.pages[id] {
-			d.pages[id][i] = 0
-		}
+		clear(d.pages[id])
 		return id
 	}
 	d.pages = append(d.pages, make([]byte, d.pageSize))
@@ -247,6 +262,7 @@ func (d *Device) Free(p PageID) error {
 		return err
 	}
 	d.freed[p] = true
+	heap.Push(&d.freeIDs, p)
 	return nil
 }
 

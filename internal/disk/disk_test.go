@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"math"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -238,6 +239,42 @@ func TestConcurrentAccess(t *testing.T) {
 	}
 	if s := d.Stats(); s.Transfers != 1600 {
 		t.Errorf("Transfers = %d, want 1600", s.Transfers)
+	}
+}
+
+// TestFreedPageReuseIsDeterministic replays one Alloc/Free/Alloc/Write
+// sequence on two devices: freed pages come back lowest id first, so both
+// hand out the same ids and charge the same seeks.
+func TestFreedPageReuseIsDeterministic(t *testing.T) {
+	replay := func() ([]PageID, Stats) {
+		d := NewDevice("replay", 8)
+		var ids []PageID
+		for i := 0; i < 32; i++ {
+			ids = append(ids, d.Alloc())
+		}
+		for _, p := range []PageID{17, 3, 29, 8, 11, 0, 24} {
+			if err := d.Free(p); err != nil {
+				t.Fatal(err)
+			}
+		}
+		buf := make([]byte, 8)
+		for i := 0; i < 10; i++ {
+			p := d.Alloc()
+			ids = append(ids, p)
+			if err := d.Write(p, buf); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return ids, d.Stats()
+	}
+	ids1, st1 := replay()
+	ids2, st2 := replay()
+	if !slices.Equal(ids1, ids2) || st1 != st2 {
+		t.Fatalf("identical sequences diverged:\n ids %v, %v\n stats %v\n       %v", ids1[32:], ids2[32:], st1, st2)
+	}
+	want := []PageID{0, 3, 8, 11, 17, 24, 29, 32, 33, 34}
+	if got := ids1[32:]; !slices.Equal(got, want) {
+		t.Fatalf("reallocated ids %v, want lowest freed first %v", got, want)
 	}
 }
 

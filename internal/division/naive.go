@@ -24,6 +24,7 @@ type Naive struct {
 	divisorList    []tuple.Tuple
 	qs             *tuple.Schema
 	qCols          []int
+	divisorCols    []int // the divisor's AllColumns, the merge's inner key
 
 	candidate tuple.Tuple // current quotient candidate (projected)
 	pos       int         // position in divisor list
@@ -82,6 +83,7 @@ func (n *Naive) Schema() *tuple.Schema { return n.qs }
 // sorted dividend stream.
 func (n *Naive) Open() error {
 	ss := n.sp.Divisor.Schema()
+	n.divisorCols = ss.AllColumns()
 
 	if n.preSorted {
 		divisors, err := exec.Collect(n.sp.Divisor)
@@ -112,7 +114,7 @@ func (n *Naive) Open() error {
 	}
 
 	divisorSort := n.env.instrument(exec.NewSort(n.sp.Divisor, exec.SortConfig{
-		Keys:        ss.AllColumns(),
+		Keys:        n.divisorCols,
 		Dedup:       !n.env.AssumeUniqueInputs,
 		MemoryBytes: n.env.sortBytes(),
 		Pool:        n.env.Pool,
@@ -191,7 +193,7 @@ func (n *Naive) Next() (tuple.Tuple, error) {
 		for n.pos < len(n.divisorList) {
 			n.comp()
 			c := tuple.CompareCross(ds, t, n.sp.DivisorCols,
-				ss, n.divisorList[n.pos], ss.AllColumns())
+				ss, n.divisorList[n.pos], n.divisorCols)
 			if c == 0 {
 				n.pos++
 				if n.pos == len(n.divisorList) {

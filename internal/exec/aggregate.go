@@ -31,10 +31,13 @@ type SortedGroupCount struct {
 
 	opened  bool
 	pending tuple.Tuple // current group's first tuple (input schema)
-	prev    tuple.Tuple // previous tuple, for Distinct
+	prev    tuple.Tuple // previous tuple, for Distinct; may alias pending
 	count   int64
 	done    bool
 	out     tuple.Tuple
+
+	// pendBuf and prevBuf back pending and prev across groups.
+	pendBuf, prevBuf tuple.Tuple
 }
 
 // NewSortedGroupCount counts per group of groupCols.
@@ -90,9 +93,7 @@ func (g *SortedGroupCount) Next() (tuple.Tuple, error) {
 			return nil, err
 		}
 		if g.pending == nil {
-			g.pending = t.Clone()
-			g.prev = g.pending
-			g.count = 1
+			g.startGroup(t)
 			continue
 		}
 		if g.counters != nil {
@@ -106,17 +107,24 @@ func (g *SortedGroupCount) Next() (tuple.Tuple, error) {
 				if is.CompareAll(g.prev, t) == 0 {
 					continue // duplicate tuple, not counted
 				}
+				g.prevBuf = append(g.prevBuf[:0], t...)
+				g.prev = g.prevBuf
 			}
 			g.count++
-			g.prev = t.Clone()
 			continue
 		}
 		out := g.emit()
-		g.pending = t.Clone()
-		g.prev = g.pending
-		g.count = 1
+		g.startGroup(t)
 		return out, nil
 	}
+}
+
+// startGroup makes t the first tuple of a new group.
+func (g *SortedGroupCount) startGroup(t tuple.Tuple) {
+	g.pendBuf = append(g.pendBuf[:0], t...)
+	g.pending = g.pendBuf
+	g.prev = g.pending
+	g.count = 1
 }
 
 // Close implements Operator.

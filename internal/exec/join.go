@@ -29,6 +29,11 @@ type MergeJoin struct {
 	group     []tuple.Tuple // buffered right group (inner mode)
 	groupIdx  int
 	groupLeft tuple.Tuple // left tuple currently paired with the group
+
+	// leftCur is a copy in one of two alternating buffers, so the previous
+	// left tuple (a semi-join result or groupLeft) survives the advance.
+	leftBuf  [2]tuple.Tuple
+	leftFlip int
 }
 
 // NewMergeJoin builds an inner merge join of left and right on the given key
@@ -84,7 +89,9 @@ func (j *MergeJoin) advanceLeft() error {
 	if err != nil {
 		return err
 	}
-	j.leftCur = t.Clone()
+	j.leftFlip ^= 1
+	j.leftBuf[j.leftFlip] = append(j.leftBuf[j.leftFlip][:0], t...)
+	j.leftCur = j.leftBuf[j.leftFlip]
 	return nil
 }
 

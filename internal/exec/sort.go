@@ -5,7 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"sort"
+	"slices"
 
 	"repro/internal/buffer"
 	"repro/internal/disk"
@@ -55,10 +55,21 @@ type Sort struct {
 	memPos int
 	inMem  bool
 
-	// External path.
+	// External path. pending is the reducing merge's held-back tuple (nil
+	// when none); it lives in one of pendBuf's two buffers, alternating so
+	// the tuple returned by Next survives the next pending copy.
 	runs    []*storage.File
 	merge   *mergeState
 	pending tuple.Tuple
+	pendBuf [2]tuple.Tuple
+	pendIdx int
+
+	// Run formation copies every input tuple into arena, one width-sized
+	// slot per tuple, and slots holds the tuple headers being sorted. Both
+	// are kept across runs and re-Opens and hold at most MemoryBytes/width
+	// tuples, so the memory grant bounds the sort's heap.
+	arena []byte
+	slots []tuple.Tuple
 
 	opened bool
 	runSeq int
@@ -120,8 +131,15 @@ func (s *Sort) reduceSorted(ts []tuple.Tuple) []tuple.Tuple {
 	return out
 }
 
+// stableSort sorts a run. slices.SortStableFunc is the same
+// insertion-sort-blocks-plus-SymMerge algorithm as sort.SliceStable, so it
+// makes the same comparisons in the same order, without the reflection-based
+// swapper; the tests swap sort.SliceStable back in to check exactly that.
+var stableSort = slices.SortStableFunc[[]tuple.Tuple, tuple.Tuple]
+
+// sortRun sorts one run in place and reduces it.
 func (s *Sort) sortRun(ts []tuple.Tuple) []tuple.Tuple {
-	sort.SliceStable(ts, func(i, j int) bool { return s.compare(ts[i], ts[j]) < 0 })
+	stableSort(ts, s.compare)
 	return s.reduceSorted(ts)
 }
 
@@ -153,12 +171,27 @@ func (s *Sort) fanIn() int {
 	return f
 }
 
+// slot copies t into the arena slot of the i-th tuple of the current run.
+// The arena grows by doubling up to maxTuples slots, so a small input never
+// pays for the whole grant; the run's earlier tuples stay in the outgrown
+// arena, which is garbage once the run has spilled.
+func (s *Sort) slot(i, maxTuples int, t tuple.Tuple) tuple.Tuple {
+	width := s.schema.Width()
+	if end := (i + 1) * width; end > len(s.arena) {
+		s.arena = make([]byte, min(max(2*len(s.arena), 64*width, end), maxTuples*width))
+	}
+	dst := s.arena[i*width : (i+1)*width : (i+1)*width]
+	copy(dst, t)
+	return dst
+}
+
 // formRuns consumes the input, sorting it in memory when it fits and
 // spilling sorted runs otherwise (via quicksort batches or replacement
-// selection). It reports whether anything spilled.
+// selection). It reports whether anything spilled. Tuples are copied into
+// the arena, which is reused for every run once the previous one spilled.
 func (s *Sort) formRuns(maxTuples int) (spilled bool, err error) {
 	width := s.schema.Width()
-	var cur []tuple.Tuple
+	s.slots = s.slots[:0]
 	for {
 		t, err := s.input.Next()
 		if err == io.EOF {
@@ -167,31 +200,32 @@ func (s *Sort) formRuns(maxTuples int) (spilled bool, err error) {
 		if err != nil {
 			return spilled, err
 		}
-		cur = append(cur, t.Clone())
-		if b := len(cur) * width; b > s.peakBytes {
+		t = s.slot(len(s.slots), maxTuples, t)
+		s.slots = append(s.slots, t)
+		if b := len(s.slots) * width; b > s.peakBytes {
 			s.peakBytes = b
 		}
-		if len(cur) >= maxTuples {
+		if len(s.slots) >= maxTuples {
 			if s.cfg.ReplacementSelection {
 				// Hand the full buffer to the replacement-selection heap,
 				// which keeps draining the input itself.
-				return true, s.replacementSelection(cur)
+				return true, s.replacementSelection(s.slots)
 			}
-			if err := s.spillRun(s.sortRun(cur)); err != nil {
+			if err := s.spillRun(s.sortRun(s.slots)); err != nil {
 				return spilled, err
 			}
-			cur = nil
+			s.slots = s.slots[:0]
 			spilled = true
 		}
 	}
 	if !spilled {
-		s.mem = s.sortRun(cur)
+		s.mem = s.sortRun(s.slots)
 		s.memPos = 0
 		s.inMem = true
 		return false, nil
 	}
-	if len(cur) > 0 {
-		if err := s.spillRun(s.sortRun(cur)); err != nil {
+	if len(s.slots) > 0 {
+		if err := s.spillRun(s.sortRun(s.slots)); err != nil {
 			return true, err
 		}
 	}
@@ -207,7 +241,8 @@ type rsItem struct {
 
 // replacementSelection drains the remaining input through a tournament
 // heap seeded with buf, writing runs that are on average twice the memory
-// size. On entry buf holds exactly the memory budget of tuples.
+// size. On entry buf holds exactly the memory budget of tuples, in arena
+// slots: each refill is copied into the slot of the tuple it replaces.
 func (s *Sort) replacementSelection(buf []tuple.Tuple) error {
 	if s.cfg.Pool == nil || s.cfg.TempDev == nil {
 		return errors.New("exec: Sort input exceeds MemoryBytes but no temp device configured")
@@ -283,7 +318,9 @@ func (s *Sort) replacementSelection(buf []tuple.Tuple) error {
 	if err := startRun(); err != nil {
 		return err
 	}
-	var last tuple.Tuple // last tuple written to the current run
+	// last is a copy of the tuple last written to the current run: the
+	// refill overwrites that tuple's slot before comparing against it.
+	last := make(tuple.Tuple, s.schema.Width())
 	inputDone := false
 	for len(h) > 0 {
 		top := h[0]
@@ -295,7 +332,6 @@ func (s *Sort) replacementSelection(buf []tuple.Tuple) error {
 				return err
 			}
 			curRun = top.run
-			last = nil
 		}
 		// Dedup/Combine within the run happen later during the merge; runs
 		// here may contain duplicates across keys only in non-reducing
@@ -303,7 +339,7 @@ func (s *Sort) replacementSelection(buf []tuple.Tuple) error {
 		if _, err := ap.Append(top.t); err != nil {
 			return err
 		}
-		last = top.t
+		copy(last, top.t)
 
 		// Refill from input.
 		if !inputDone {
@@ -313,12 +349,13 @@ func (s *Sort) replacementSelection(buf []tuple.Tuple) error {
 			} else if err != nil {
 				return err
 			} else {
-				nt := t.Clone()
+				nt := h[0].t
+				copy(nt, t)
 				run := curRun
 				if s.compare(nt, last) < 0 {
 					run = curRun + 1
 				}
-				h[0] = rsItem{t: nt, run: run}
+				h[0].run = run
 				down(0)
 				continue
 			}
@@ -440,10 +477,22 @@ type mergeState struct {
 	h       cursorHeap
 }
 
+// runCursor is one run's position in a merge. cur is a copy of the run's
+// current tuple, in one of two buffers: nextRaw returns cur and refills the
+// other buffer, so the returned tuple outlives the refill.
 type runCursor struct {
 	sc    *storage.Scanner
 	cur   tuple.Tuple
+	bufs  [2]tuple.Tuple
+	flip  int
 	index int
+}
+
+// load copies t into the cursor's free buffer and makes it current.
+func (rc *runCursor) load(t tuple.Tuple) {
+	rc.flip ^= 1
+	rc.bufs[rc.flip] = append(rc.bufs[rc.flip][:0], t...)
+	rc.cur = rc.bufs[rc.flip]
 }
 
 type cursorHeap struct {
@@ -490,7 +539,7 @@ func (s *Sort) newMergeState(runs []*storage.File) (*mergeState, error) {
 			m.close()
 			return nil, err
 		}
-		rc.cur = t.Clone()
+		rc.load(t)
 		m.cursors = append(m.cursors, rc)
 		m.h.curs = append(m.h.curs, rc)
 	}
@@ -520,10 +569,18 @@ func (m *mergeState) nextRaw() (tuple.Tuple, error) {
 	} else if err != nil {
 		return nil, err
 	} else {
-		top.cur = t.Clone()
+		top.load(t)
 		heap.Fix(&m.h, 0)
 	}
 	return out, nil
+}
+
+// setPending copies t into the pending buffer the previous result does not
+// occupy.
+func (s *Sort) setPending(t tuple.Tuple) {
+	s.pendIdx ^= 1
+	s.pendBuf[s.pendIdx] = append(s.pendBuf[s.pendIdx][:0], t...)
+	s.pending = s.pendBuf[s.pendIdx]
 }
 
 // nextMerged applies Dedup/Combine across run boundaries using a pending
@@ -546,7 +603,7 @@ func (s *Sort) nextMerged(m *mergeState) (tuple.Tuple, error) {
 			return nil, err
 		}
 		if s.pending == nil {
-			s.pending = t
+			s.setPending(t)
 			continue
 		}
 		if s.compare(s.pending, t) == 0 {
@@ -556,7 +613,7 @@ func (s *Sort) nextMerged(m *mergeState) (tuple.Tuple, error) {
 			continue
 		}
 		out := s.pending
-		s.pending = t
+		s.setPending(t)
 		return out, nil
 	}
 }
