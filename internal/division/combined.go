@@ -120,15 +120,16 @@ func (c *CombinedPartitionedHashDivision) run() error {
 			}
 		}
 	}
+	divHash, quotHash := ds.HashFunc(c.sp.DivisorCols), ds.HashFunc(c.qCols)
 	err = exec.ForEach(c.sp.Dividend, func(t tuple.Tuple) error {
 		if c.env.Counters != nil {
 			c.env.Counters.Hash += 2
 		}
-		i := int(ds.Hash(t, c.sp.DivisorCols) % uint64(c.kd))
+		i := int(divHash(t) % uint64(c.kd))
 		if phaseOf[i] < 0 {
 			return nil // no divisor tuples in this cluster: discard early
 		}
-		j := int(ds.Hash(t, c.qCols) % uint64(c.kq))
+		j := int(quotHash(t) % uint64(c.kq))
 		_, err := appenders[i*c.kq+j].Append(t)
 		return err
 	})

@@ -1,7 +1,6 @@
 package division
 
 import (
-	"encoding/binary"
 	"errors"
 	"io"
 
@@ -73,20 +72,6 @@ type HashDivision struct {
 	// Early-emit path.
 	streaming bool
 	opened    bool
-
-	// Compiled probe kernels for the batch path, built lazily on the first
-	// absorbBatch (see tuple.HashFunc / tuple.EqualProjectedFunc). When both
-	// projections are single 8-byte columns (fastU64), the loop instead uses
-	// the fully concrete word-key probes at divOff/quotOff.
-	divHash     func(tuple.Tuple) uint64
-	divEq       func(src, stored tuple.Tuple) bool
-	quotHash    func(tuple.Tuple) uint64
-	quotEq      func(src, stored tuple.Tuple) bool
-	quotProject func(tuple.Tuple) tuple.Tuple
-	kernelsInit bool
-	fastU64     bool
-	divOff      int
-	quotOff     int
 
 	// Profile spans for the three Figure 1 steps (nil without a tracer).
 	buildSpan  *obs.Span
@@ -321,9 +306,7 @@ func (h *HashDivision) Open() error {
 // drained, and closed here, entirely inside the absorb phase window, so the
 // dividend scan's records nest under that phase. Batch-capable inputs take
 // the vectorized pass — one NextBatch per page-sized batch instead of one
-// interface dispatch per Transcript tuple; absorbBatch performs exactly the
-// operations absorb would, so statistics and cost counters are identical on
-// both paths.
+// interface dispatch per Transcript tuple (see absorbBatches).
 func (h *HashDivision) absorbDividend() error {
 	if err := h.sp.Dividend.Open(); err != nil {
 		return err
@@ -354,10 +337,15 @@ func (h *HashDivision) absorbDividend() error {
 }
 
 // absorbBatches is the vectorized step 2: it drains the dividend through the
-// batch protocol and runs the probe+bitmap-set hot loop over contiguous
-// arenas.
+// batch protocol into the shared Absorber kernel, compiled once per Open
+// over this run's tables. The kernel performs exactly the operations absorb
+// would; its counts fold into Stats and Counters.Bit after every batch (a
+// budget failure included), so both paths report identical numbers.
 func (h *HashDivision) absorbBatches(bop exec.BatchOperator) error {
-	b := exec.NewBatch(h.sp.Dividend.Schema(), h.env.batchSize())
+	ds := h.sp.Dividend.Schema()
+	kern := NewAbsorber(ds, h.sp.DivisorCols, h.qCols, h.divisorTable, h.quotientTable,
+		h.divisorCount, h.opts.CountersOnly, h.checkBudget)
+	b := exec.NewBatch(ds, h.env.batchSize())
 	defer b.Release()
 	for {
 		err := bop.NextBatch(b)
@@ -367,132 +355,18 @@ func (h *HashDivision) absorbBatches(bop exec.BatchOperator) error {
 		if err != nil {
 			return err
 		}
-		if err := h.absorbBatch(b); err != nil {
+		var st AbsorbStats
+		err = kern.AbsorbBatch(b, &st)
+		h.stats.DividendTuples += st.Dividend
+		h.stats.DiscardedNoMatch += st.Discarded
+		h.stats.Candidates += st.Candidates
+		if h.env.Counters != nil {
+			h.env.Counters.Bit += st.Bits
+		}
+		if err != nil {
 			return err
 		}
 	}
-}
-
-// initKernels compiles the probe kernels the batch path hoists out of its
-// per-tuple loops. The common Table 4 shape — divisor and quotient
-// projections both a single 8-byte column — selects the fully concrete
-// word-key loop (absorbBatchU64); anything else gets the closure kernels.
-func (h *HashDivision) initKernels() {
-	ds := h.sp.Dividend.Schema()
-	qCols := h.qCols
-	if len(h.sp.DivisorCols) == 1 && ds.Field(h.sp.DivisorCols[0]).Width == 8 &&
-		len(qCols) == 1 && ds.Field(qCols[0]).Width == 8 {
-		h.fastU64 = true
-		h.divOff = ds.Offset(h.sp.DivisorCols[0])
-		h.quotOff = ds.Offset(qCols[0])
-	} else {
-		h.divHash = ds.HashFunc(h.sp.DivisorCols)
-		h.divEq = ds.EqualProjectedFunc(h.sp.DivisorCols)
-		h.quotHash = ds.HashFunc(qCols)
-		h.quotEq = ds.EqualProjectedFunc(qCols)
-		h.quotProject = func(src tuple.Tuple) tuple.Tuple { return ds.ProjectTuple(src, qCols) }
-	}
-	h.kernelsInit = true
-}
-
-// absorbBatch processes one dividend batch. It is absorb unrolled over the
-// batch with the loop-invariant lookups hoisted and the hash/equality
-// kernels compiled once per operator: same probes, same bitmap updates,
-// same statistics and cost-counter increments, minus the per-tuple
-// interface dispatch and bounds ceremony. Only the stop-and-go (non
-// early-emit) modes reach this path.
-func (h *HashDivision) absorbBatch(b *exec.Batch) error {
-	if !h.kernelsInit {
-		h.initKernels()
-	}
-	if h.fastU64 {
-		return h.absorbBatchU64(b)
-	}
-	divisorTable, quotientTable := h.divisorTable, h.quotientTable
-	countersOnly := h.opts.CountersOnly
-	n := b.Len()
-	h.stats.DividendTuples += int64(n)
-	var bits int64
-	for i := 0; i < n; i++ {
-		t := b.Tuple(i)
-		de := divisorTable.LookupPre(h.divHash(t), t, h.divEq)
-		if de == nil {
-			h.stats.DiscardedNoMatch++
-			continue
-		}
-		qe, created := quotientTable.GetOrInsertPre(h.quotHash(t), t, h.quotEq, h.quotProject)
-		if created {
-			h.stats.Candidates++
-			if !countersOnly {
-				qe.Bits = bitmap.New(int(h.divisorCount))
-				quotientTable.AddMemBytes(qe.Bits.SizeBytes())
-				if err := h.checkBudget(); err != nil {
-					if h.env.Counters != nil {
-						h.env.Counters.Bit += bits
-					}
-					return err
-				}
-			}
-		}
-		if countersOnly {
-			qe.Num++
-			continue
-		}
-		bits++
-		qe.Bits.Set(int(de.Num))
-	}
-	if h.env.Counters != nil {
-		h.env.Counters.Bit += bits
-	}
-	return nil
-}
-
-// absorbBatchU64 is absorbBatch for the single-8-byte-column fast path:
-// keys load as words, hashes are the unrolled tuple.HashUint64LE, and the
-// chain walks (hashtab.LookupU64 / GetOrInsertU64) compare words — no
-// closure or interface call anywhere in the loop. Probes, statistics, and
-// counter increments remain byte-identical to the generic path.
-func (h *HashDivision) absorbBatchU64(b *exec.Batch) error {
-	divisorTable, quotientTable := h.divisorTable, h.quotientTable
-	countersOnly := h.opts.CountersOnly
-	divOff, quotOff := h.divOff, h.quotOff
-	n := b.Len()
-	h.stats.DividendTuples += int64(n)
-	var bits int64
-	for i := 0; i < n; i++ {
-		t := b.Tuple(i)
-		dk := binary.LittleEndian.Uint64(t[divOff:])
-		de := divisorTable.LookupU64(tuple.HashUint64LE(dk), dk)
-		if de == nil {
-			h.stats.DiscardedNoMatch++
-			continue
-		}
-		qk := binary.LittleEndian.Uint64(t[quotOff:])
-		qe, created := quotientTable.GetOrInsertU64(tuple.HashUint64LE(qk), qk)
-		if created {
-			h.stats.Candidates++
-			if !countersOnly {
-				qe.Bits = bitmap.New(int(h.divisorCount))
-				quotientTable.AddMemBytes(qe.Bits.SizeBytes())
-				if err := h.checkBudget(); err != nil {
-					if h.env.Counters != nil {
-						h.env.Counters.Bit += bits
-					}
-					return err
-				}
-			}
-		}
-		if countersOnly {
-			qe.Num++
-			continue
-		}
-		bits++
-		qe.Bits.Set(int(de.Num))
-	}
-	if h.env.Counters != nil {
-		h.env.Counters.Bit += bits
-	}
-	return nil
 }
 
 // NextBatch implements exec.BatchOperator: the quotient-output scan emits

@@ -77,9 +77,11 @@ func NewPartitionedHashDivision(sp Spec, env Env, strategy PartitionStrategy, k 
 func (p *PartitionedHashDivision) Schema() *tuple.Schema { return p.qs }
 
 // partitionDividend splits the dividend on cols into k clusters: cluster 0
-// in memory, the rest as temp files. Tuples may be pre-filtered by keep.
-func (p *PartitionedHashDivision) partitionDividend(cols []int, keep func(tuple.Tuple) bool) ([]tuple.Tuple, []*storage.File, error) {
+// in memory, the rest as temp files. keep, when set, drops the tuples of
+// the clusters it rejects. The cols hash is compiled once per pass.
+func (p *PartitionedHashDivision) partitionDividend(cols []int, keep func(cluster int) bool) ([]tuple.Tuple, []*storage.File, error) {
 	ds := p.sp.Dividend.Schema()
+	hash := ds.HashFunc(cols)
 	var mem []tuple.Tuple
 	files := make([]*storage.File, p.k)
 	appenders := make([]*storage.Appender, p.k)
@@ -117,13 +119,13 @@ func (p *PartitionedHashDivision) partitionDividend(cols []int, keep func(tuple.
 			abort()
 			return nil, nil, err
 		}
-		if keep != nil && !keep(t) {
+		c := int(hash(t) % uint64(p.k))
+		if keep != nil && !keep(c) {
 			continue
 		}
 		if p.env.Counters != nil {
 			p.env.Counters.Hash++
 		}
-		c := int(ds.Hash(t, cols) % uint64(p.k))
 		if c == 0 {
 			mem = append(mem, t.Clone())
 			continue
@@ -274,8 +276,7 @@ func (p *PartitionedHashDivision) runDivisorPartitioned() error {
 		}
 	}
 
-	mem, files, err := p.partitionDividend(p.sp.DivisorCols, func(t tuple.Tuple) bool {
-		c := int(ds.Hash(t, p.sp.DivisorCols) % uint64(p.k))
+	mem, files, err := p.partitionDividend(p.sp.DivisorCols, func(c int) bool {
 		return phaseOf[c] >= 0
 	})
 	if err != nil {

@@ -523,9 +523,9 @@ func (r *RecursiveHashDivision) repartitionQuotientCell(c rcell, divisor []tuple
 			c.n, r.budget(), depth, ErrPartitionDepth)
 	}
 	salt := depthSalt(depth)
-	qCols := r.qCols
+	qHash := ds.HashFunc(r.qCols)
 	route := func(t tuple.Tuple) int {
-		return int(mix64(ds.Hash(t, qCols)^salt) % uint64(fanOut))
+		return int(mix64(qHash(t)^salt) % uint64(fanOut))
 	}
 	var pspan *obs.Span
 	if parent != nil {
@@ -609,9 +609,9 @@ func (r *RecursiveHashDivision) divideDivisorNode(divisor []tuple.Tuple, c rcell
 		i := int(mix64(tuple.HashBytes(d)^salt) % uint64(fanOut))
 		clusters[i] = append(clusters[i], d)
 	}
-	dCols := r.sp.DivisorCols
+	dHash := ds.HashFunc(r.sp.DivisorCols)
 	route := func(t tuple.Tuple) int {
-		i := int(mix64(ds.Hash(t, dCols)^salt) % uint64(fanOut))
+		i := int(mix64(dHash(t)^salt) % uint64(fanOut))
 		if len(clusters[i]) == 0 {
 			return -1 // no divisor tuples there: the tuple can match nothing
 		}

@@ -59,16 +59,8 @@ type SharedTable struct {
 
 	buckets []atomic.Pointer[SharedElem]
 
-	// Compiled probe kernels, mirroring HashDivision.initKernels: the
-	// single-8-byte-column shape gets concrete word-key probes, everything
-	// else closure kernels compiled once at build time.
-	fastU64 bool
-	divOff  int
-	quotOff int
-	divHash func(tuple.Tuple) uint64
-	divEq   func(src, stored tuple.Tuple) bool
-	quoHash func(tuple.Tuple) uint64
-	quoEq   func(src, stored tuple.Tuple) bool
+	// Step 2's probes, compiled once at build time like every Absorber's.
+	probeKernels
 }
 
 // NewSharedTable builds the divisor table from the given distinct divisor
@@ -105,17 +97,7 @@ func NewSharedTable(sp Spec, divisor []tuple.Tuple, hbs float64, expectedQuotien
 	}
 	s.buckets = make([]atomic.Pointer[SharedElem], nBuckets)
 
-	if len(s.divisorCols) == 1 && ds.Field(s.divisorCols[0]).Width == 8 &&
-		len(qCols) == 1 && ds.Field(qCols[0]).Width == 8 {
-		s.fastU64 = true
-		s.divOff = ds.Offset(s.divisorCols[0])
-		s.quotOff = ds.Offset(qCols[0])
-	} else {
-		s.divHash = ds.HashFunc(s.divisorCols)
-		s.divEq = ds.EqualProjectedFunc(s.divisorCols)
-		s.quoHash = ds.HashFunc(qCols)
-		s.quoEq = ds.EqualProjectedFunc(qCols)
-	}
+	s.probeKernels = compileProbes(ds, s.divisorCols, qCols)
 	return s, nil
 }
 
@@ -154,7 +136,7 @@ func (s *SharedTable) Absorb(t tuple.Tuple, st *SharedStats) {
 		if de == nil {
 			return
 		}
-		qh = s.quoHash(t)
+		qh = s.quotHash(t)
 	}
 	e := s.candidate(qh, t, st)
 	e.Bits.AtomicSet(int(de.Num))
@@ -174,7 +156,7 @@ func (s *SharedTable) equalsCandidate(t tuple.Tuple, stored tuple.Tuple) bool {
 	if s.fastU64 {
 		return binary.LittleEndian.Uint64(t[s.quotOff:]) == binary.LittleEndian.Uint64(stored)
 	}
-	return s.quoEq(t, stored)
+	return s.quotEq(t, stored)
 }
 
 // candidate returns the (unique) SharedElem for t's quotient projection,

@@ -545,10 +545,10 @@ func Divide(ctx context.Context, sp division.Spec, cfg Config, conns []net.Conn)
 		}
 	}
 
-	// Phase C: ship the dividend. Routing matches the in-process
-	// partitioner in both engines: quotient partitioning routes on the
-	// quotient attributes, divisor partitioning reuses the divisor hash
-	// that clustered the divisor. Pipelined shipping (the default)
+	// Phase C: ship the dividend. Both engines route through the
+	// in-process package's Router, compiled once here: quotient
+	// partitioning routes on the quotient attributes, divisor partitioning
+	// reuses the divisor hash that clustered the divisor. Pipelined shipping (the default)
 	// overlaps scan, serialization, and the wire; the phased engine keeps
 	// the strictly sequential shipper as the measured baseline. Per-link
 	// stats folding happens behind the engine's barrier either way, so
@@ -557,12 +557,13 @@ func Divide(ctx context.Context, sp division.Spec, cfg Config, conns []net.Conn)
 	if strategy == strategyDivisor {
 		routeCols = nil
 	}
+	router := parallel.NewRouter(ds, sp.DivisorCols, routeCols, bv, nw)
 	var filtered int64
 	var shipErr error
 	if cfg.Ship == ShipPhased {
-		filtered, shipErr = shipDividendPhased(ctx, sp, cfg, links, bv, filterBits, routeCols, res)
+		filtered, shipErr = shipDividendPhased(ctx, sp, cfg, links, router, res)
 	} else {
-		filtered, shipErr = shipDividendPipelined(ctx, sp, cfg, links, bv, filterBits, routeCols, res, fe)
+		filtered, shipErr = shipDividendPipelined(ctx, sp, cfg, links, router, res, fe)
 	}
 	if shipErr != nil {
 		fe.set(shipErr)
@@ -654,25 +655,19 @@ func Divide(ctx context.Context, sp division.Spec, cfg Config, conns []net.Conn)
 // verbatim as the overlap-free baseline. Arenas are released on every exit,
 // error paths included.
 func shipDividendPhased(ctx context.Context, sp division.Spec, cfg Config, links []*link,
-	bv *bitmap.Bitmap, filterBits int, routeCols []int, res *Result) (int64, error) {
+	router *parallel.Router, res *Result) (int64, error) {
 	ds := sp.Dividend.Schema()
-	nw := len(links)
-	shippers := make([]*frameBatcher, nw)
+	shippers := make([]*frameBatcher, len(links))
 	for i, l := range links {
 		shippers[i] = newFrameBatcher(l.conn, ds, frameDividendBatch, 0, cfg.BatchSize)
 	}
 	var filtered int64
 	shipErr := exec.ForEach(exec.NewContextScan(ctx, sp.Dividend), func(t tuple.Tuple) error {
-		h := ds.Hash(t, sp.DivisorCols)
-		if bv != nil && !bv.Test(int(h%uint64(filterBits))) {
+		d := router.Route(t)
+		if d == parallel.Filtered {
 			filtered++
 			return nil
 		}
-		dest := h
-		if len(routeCols) > 0 {
-			dest = ds.Hash(t, routeCols)
-		}
-		d := int(dest % uint64(nw))
 		if err := shippers[d].add(t); err != nil {
 			return links[d].wrap(err)
 		}
@@ -831,26 +826,20 @@ func (s *linkShipper) release() {
 // and the dividendEnd control frames — happen behind the producers+writers
 // barrier, so the accounting stays byte-identical to the phased engine.
 func shipDividendPipelined(ctx context.Context, sp division.Spec, cfg Config, links []*link,
-	bv *bitmap.Bitmap, filterBits int, routeCols []int, res *Result, fe *firstErr) (int64, error) {
+	router *parallel.Router, res *Result, fe *firstErr) (int64, error) {
 	ds := sp.Dividend.Schema()
-	nw := len(links)
-	shippers := make([]*linkShipper, nw)
+	shippers := make([]*linkShipper, len(links))
 	for i, l := range links {
 		shippers[i] = newLinkShipper(l, ds, cfg.BatchSize)
 		shippers[i].start(ctx, fe)
 	}
 
 	perTuple := func(t tuple.Tuple, dropped *int64) {
-		h := ds.Hash(t, sp.DivisorCols)
-		if bv != nil && !bv.Test(int(h%uint64(filterBits))) {
+		if d := router.Route(t); d == parallel.Filtered {
 			*dropped++
-			return
+		} else {
+			shippers[d].add(t)
 		}
-		dest := h
-		if len(routeCols) > 0 {
-			dest = ds.Hash(t, routeCols)
-		}
-		shippers[int(dest%uint64(nw))].add(t)
 	}
 
 	var filtered atomic.Int64

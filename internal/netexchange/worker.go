@@ -203,11 +203,11 @@ divisor:
 	}
 
 	// Phase: absorb the dividend stream straight off the read buffer — each
-	// frame's payload is aliased into a batch, probed against the divisor
-	// table, and folded into the quotient table before the next read reuses
-	// the buffer.
+	// frame's payload is aliased into a batch and run through the shared
+	// hash-division kernel before the next read reuses the buffer.
 	quotientTable := hashtab.NewForExpected(qs, 256, j.HBS)
-	var dividendTuples int64
+	kern := division.NewAbsorber(ds, j.DivisorCols, qCols, divisorTable, quotientTable, divisorCount, false, nil)
+	var st division.AbsorbStats
 	recvD := exec.NewBatch(ds, j.BatchSize)
 dividend:
 	for {
@@ -222,19 +222,9 @@ dividend:
 				recvD.Release()
 				return err
 			}
-			n := recvD.Len()
-			dividendTuples += int64(n)
-			for i := 0; i < n; i++ {
-				t := recvD.Tuple(i)
-				de := divisorTable.LookupProjected(t, ds, j.DivisorCols)
-				if de == nil {
-					continue
-				}
-				qe, created := quotientTable.GetOrInsertProjected(t, ds, qCols)
-				if created {
-					qe.Bits = bitmap.New(int(divisorCount))
-				}
-				qe.Bits.Set(int(de.Num))
+			if err := kern.AbsorbBatch(recvD, &st); err != nil {
+				recvD.Release()
+				return err
 			}
 		case frameDividendEnd:
 			break dividend
@@ -249,9 +239,26 @@ dividend:
 	recvD.Release()
 
 	if j.Strategy == strategyQuotient {
-		return emitQuotient(conn, quotientTable, divisorCount, dividendTuples, j)
+		return emitQuotient(conn, quotientTable, divisorCount, st.Dividend, j)
 	}
-	return runDivisorCollection(conn, fr, quotientTable, qs, divisorCount, dividendTuples, j)
+	return runDivisorCollection(conn, fr, quotientTable, qs, divisorCount, st.Dividend, j)
+}
+
+// shipComplete ships every element of tab whose bit map has no zero bit —
+// step 3 of hash-division, or a collection site's verdict — and flushes the
+// trailing partial frame. A worker without divisor tuples discards its whole
+// dividend, so its quotient table is empty and nothing ships.
+func shipComplete(fb *frameBatcher, tab *hashtab.Table) error {
+	err := tab.Iterate(func(e *hashtab.Element) error {
+		if e.Bits.AllSet() {
+			return fb.add(e.Tuple)
+		}
+		return nil
+	})
+	if err != nil {
+		return err
+	}
+	return fb.flush()
 }
 
 // emitQuotient scans the quotient table for complete candidates and ships
@@ -260,19 +267,8 @@ dividend:
 func emitQuotient(conn net.Conn, quotientTable *hashtab.Table, divisorCount, dividendTuples int64, j jobHeader) error {
 	fb := newFrameBatcher(conn, quotientTable.Schema(), frameQuotientBatch, 0, j.BatchSize)
 	defer fb.release()
-	if divisorCount > 0 {
-		err := quotientTable.Iterate(func(e *hashtab.Element) error {
-			if e.Bits.AllSet() {
-				return fb.add(e.Tuple)
-			}
-			return nil
-		})
-		if err != nil {
-			return err
-		}
-		if err := fb.flush(); err != nil {
-			return err
-		}
+	if err := shipComplete(fb, quotientTable); err != nil {
+		return err
 	}
 	_, err := writeControlFrame(conn, FrameHeader{Type: frameQuotientEnd},
 		appendWorkerStats(nil, dividendTuples, divisorCount, fb.tuples))
@@ -295,19 +291,8 @@ func runDivisorCollection(conn net.Conn, fr *frameReader, quotientTable *hashtab
 	}
 	fb := newFrameBatcher(conn, qs, frameCandidate, phase, j.BatchSize)
 	defer fb.release()
-	if divisorCount > 0 {
-		err := quotientTable.Iterate(func(e *hashtab.Element) error {
-			if e.Bits.AllSet() {
-				return fb.add(e.Tuple)
-			}
-			return nil
-		})
-		if err != nil {
-			return err
-		}
-		if err := fb.flush(); err != nil {
-			return err
-		}
+	if err := shipComplete(fb, quotientTable); err != nil {
+		return err
 	}
 	if _, err := writeControlFrame(conn, FrameHeader{Type: frameCandidateEnd}, nil); err != nil {
 		return err
@@ -364,19 +349,10 @@ collect:
 
 	out := newFrameBatcher(conn, qs, frameQuotientBatch, 0, j.BatchSize)
 	defer out.release()
-	err := collection.Iterate(func(e *hashtab.Element) error {
-		if e.Bits.AllSet() {
-			return out.add(e.Tuple)
-		}
-		return nil
-	})
-	if err != nil {
+	if err := shipComplete(out, collection); err != nil {
 		return err
 	}
-	if err := out.flush(); err != nil {
-		return err
-	}
-	_, err = writeControlFrame(conn, FrameHeader{Type: frameQuotientEnd},
+	_, err := writeControlFrame(conn, FrameHeader{Type: frameQuotientEnd},
 		appendWorkerStats(nil, dividendTuples, divisorCount, out.tuples))
 	return err
 }

@@ -21,7 +21,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"repro/internal/bitmap"
 	"repro/internal/division"
 	"repro/internal/exec"
 	"repro/internal/obs"
@@ -124,37 +123,30 @@ func runFallbackReader(ctx context.Context, dividend exec.Operator, morselTuples
 }
 
 // partitioner is one goroutine's software write-combining stage: route each
-// tuple (bit-vector filter, then hash on the partitioning columns), append it
-// to the destination's private exec.Batch buffer, and flush the buffer as one
-// channel send when it reaches batchSize. Network accounting accumulates in
-// private counters and folds into the shared NetworkStats once, in finish —
-// identical totals to the coordinator path, without per-tuple atomics.
+// tuple through the query's shared Router, append it to the destination's
+// private exec.Batch buffer, and flush the buffer as one channel send when
+// it reaches batchSize. Network accounting accumulates in private counters
+// and folds into the shared NetworkStats once, in finish — identical totals
+// to the coordinator path, without per-tuple atomics.
 type partitioner struct {
-	ds          *tuple.Schema
-	divisorCols []int
-	cols        []int // routing columns; empty = route on the divisor hash
-	bv          *bitmap.Bitmap
-	k           uint64
-	width       int64
-	workers     []*worker
-	batchSize   int
-	batches     []*exec.Batch
+	ds        *tuple.Schema
+	router    *Router
+	width     int64
+	workers   []*worker
+	batchSize int
+	batches   []*exec.Batch
 
 	shipped, bytes, filtered int64
 }
 
-func newPartitioner(sp division.Spec, workers []*worker, cols []int, bv *bitmap.Bitmap, batchSize int) *partitioner {
-	ds := sp.Dividend.Schema()
+func newPartitioner(ds *tuple.Schema, router *Router, workers []*worker, batchSize int) *partitioner {
 	p := &partitioner{
-		ds:          ds,
-		divisorCols: sp.DivisorCols,
-		cols:        cols,
-		bv:          bv,
-		k:           uint64(len(workers)),
-		width:       int64(ds.Width()),
-		workers:     workers,
-		batchSize:   batchSize,
-		batches:     make([]*exec.Batch, len(workers)),
+		ds:        ds,
+		router:    router,
+		width:     int64(ds.Width()),
+		workers:   workers,
+		batchSize: batchSize,
+		batches:   make([]*exec.Batch, len(workers)),
 	}
 	for i := range p.batches {
 		p.batches[i] = exec.NewBatch(ds, batchSize)
@@ -178,25 +170,18 @@ func (p *partitioner) flush(ctx context.Context, i int) error {
 	}
 }
 
-// route processes one dividend tuple. Tuples this goroutine ships to its own
+// add ships one dividend tuple. Tuples this goroutine ships to its own
 // consumer count as shipped all the same: the accounting models the
 // interconnect of a shared-nothing system (§6), where self-delivery is not
 // observable to the cost model, and it keeps Stats identical across paths.
-func (p *partitioner) route(ctx context.Context, t tuple.Tuple) error {
-	h := p.ds.Hash(t, p.divisorCols)
-	if p.bv != nil {
-		if !p.bv.Test(int(h % uint64(p.bv.Len()))) {
-			p.filtered++
-			return nil
-		}
-	}
-	dest := h
-	if len(p.cols) > 0 {
-		dest = p.ds.Hash(t, p.cols)
+func (p *partitioner) add(ctx context.Context, t tuple.Tuple) error {
+	d := p.router.Route(t)
+	if d == Filtered {
+		p.filtered++
+		return nil
 	}
 	p.shipped++
 	p.bytes += p.width
-	d := int(dest % p.k)
 	p.batches[d].Append(t)
 	if p.batches[d].Len() >= p.batchSize {
 		return p.flush(ctx, d)
@@ -232,7 +217,7 @@ func runProducer(ctx context.Context, src *morselSource, p *partitioner, net *Ne
 	defer scratch.Release()
 	routeBatch := func(b *exec.Batch) error {
 		for i, n := 0, b.Len(); i < n; i++ {
-			if err := p.route(ctx, b.Tuple(i)); err != nil {
+			if err := p.add(ctx, b.Tuple(i)); err != nil {
 				return err
 			}
 		}
@@ -274,22 +259,24 @@ func runProducer(ctx context.Context, src *morselSource, p *partitioner, net *Ne
 }
 
 // shipDividendMorsels is the morsel-driven replacement for shipDividend: one
-// producer goroutine per worker, all pulling from a shared morsel queue. It
-// returns once every producer (and the fallback reader, if any) has finished;
-// errors propagate through fe, which cancels ctx and unwinds the rest.
-func shipDividendMorsels(ctx context.Context, sp division.Spec, workers []*worker, cols []int,
-	bv *bitmap.Bitmap, cfg Config, net *NetworkStats, root *obs.Span, fe *firstError) {
+// producer goroutine per worker, all pulling from a shared morsel queue and
+// routing through the same Router. It returns once every producer (and the
+// fallback reader, if any) has finished; errors propagate through fe, which
+// cancels ctx and unwinds the rest.
+func shipDividendMorsels(ctx context.Context, sp division.Spec, workers []*worker, router *Router,
+	cfg Config, net *NetworkStats, root *obs.Span, fe *firstError) {
 	morselTuples := cfg.MorselTuples
 	if morselTuples <= 0 {
 		morselTuples = defaultMorselTuples
 	}
+	ds := sp.Dividend.Schema()
 	var wg sync.WaitGroup
 	src := newMorselSource(ctx, sp.Dividend, morselTuples, cfg.ChannelDepth, &wg, fe, root)
 	for range workers {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			fe.set(runProducer(ctx, src, newPartitioner(sp, workers, cols, bv, cfg.BatchSize), net, morselTuples))
+			fe.set(runProducer(ctx, src, newPartitioner(ds, router, workers, cfg.BatchSize), net, morselTuples))
 		}()
 	}
 	wg.Wait()

@@ -375,6 +375,8 @@ func (w *worker) run(ctx context.Context, sp division.Spec, hbs float64) (err er
 	}
 	w.stats.DivisorTuples = divisorCount
 	quotientTable := hashtab.NewForExpected(qs, 256, hbs)
+	kern := division.NewAbsorber(ds, sp.DivisorCols, qCols, divisorTable, quotientTable, divisorCount, false, nil)
+	var st division.AbsorbStats
 
 receive:
 	for {
@@ -388,21 +390,12 @@ receive:
 		case <-ctx.Done():
 			return ctx.Err()
 		}
-		n := batch.Len()
-		w.stats.DividendTuples += int64(n)
-		for i := 0; i < n; i++ {
-			t := batch.Tuple(i)
-			de := divisorTable.LookupProjected(t, ds, sp.DivisorCols)
-			if de == nil {
-				continue
-			}
-			qe, created := quotientTable.GetOrInsertProjected(t, ds, qCols)
-			if created {
-				qe.Bits = bitmap.New(int(divisorCount))
-			}
-			qe.Bits.Set(int(de.Num))
-		}
+		err := kern.AbsorbBatch(batch, &st)
+		w.stats.DividendTuples = st.Dividend
 		batch.Release()
+		if err != nil {
+			return err
+		}
 	}
 	if divisorCount == 0 {
 		return nil
@@ -430,29 +423,31 @@ func spawnWorkers(ctx context.Context, workers []*worker, sp division.Spec, hbs 
 
 // shipDividend is the PathCoordinator data path: one goroutine partitions the
 // whole dividend stream over the workers' channels through a partitioner (see
-// morsel.go for the routing, buffering, and accounting contract shared with
-// the morsel path).
-func shipDividend(ctx context.Context, sp division.Spec, workers []*worker, cols []int, bv *bitmap.Bitmap, batchSize int, net *NetworkStats) error {
+// morsel.go for the buffering and accounting contract shared with the morsel
+// path).
+func shipDividend(ctx context.Context, sp division.Spec, workers []*worker, router *Router, batchSize int, net *NetworkStats) error {
 	if batchSize <= 0 {
 		batchSize = shuffleBatch
 	}
-	p := newPartitioner(sp, workers, cols, bv, batchSize)
+	p := newPartitioner(sp.Dividend.Schema(), router, workers, batchSize)
 	err := exec.ForEach(exec.NewContextScan(ctx, sp.Dividend), func(t tuple.Tuple) error {
-		return p.route(ctx, t)
+		return p.add(ctx, t)
 	})
 	return p.finish(ctx, err, net)
 }
 
-// shipDividendByPath dispatches between the coordinator and morsel data
-// paths. It blocks until the dividend is fully shipped (or the division
-// failed); morsel-path errors propagate through fe.
+// shipDividendByPath compiles the query's Router — partitioning on cols, or
+// on the divisor attributes when cols is empty — and dispatches between the
+// coordinator and morsel data paths. It blocks until the dividend is fully
+// shipped (or the division failed); morsel-path errors propagate through fe.
 func shipDividendByPath(ctx context.Context, sp division.Spec, workers []*worker, cols []int,
 	bv *bitmap.Bitmap, cfg Config, net *NetworkStats, root *obs.Span, fe *firstError) {
+	router := NewRouter(sp.Dividend.Schema(), sp.DivisorCols, cols, bv, len(workers))
 	if cfg.Path == PathCoordinator {
-		fe.set(shipDividend(ctx, sp, workers, cols, bv, cfg.BatchSize, net))
+		fe.set(shipDividend(ctx, sp, workers, router, cfg.BatchSize, net))
 		return
 	}
-	shipDividendMorsels(ctx, sp, workers, cols, bv, cfg, net, root, fe)
+	shipDividendMorsels(ctx, sp, workers, router, cfg, net, root, fe)
 }
 
 func divideQuotientPartitioned(ctx context.Context, sp division.Spec, cfg Config) (*Result, error) {
