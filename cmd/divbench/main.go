@@ -414,7 +414,7 @@ func runBatch(args []string) error {
 	fmt.Print(bench.FormatAblation(cells))
 	fmt.Printf("(%d cells in %v)\n", len(cells), time.Since(start).Round(time.Millisecond))
 	if *jsonOut {
-		section := map[string]any{"geometry": *geometry, "reps": *reps, "cells": cells}
+		section := map[string]any{"geometry": *geometry, "gomaxprocs": runtime.GOMAXPROCS(0), "reps": *reps, "cells": cells}
 		if err := writeJSONSection(benchJSONFile, "batch_ablation", section); err != nil {
 			return err
 		}

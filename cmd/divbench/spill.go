@@ -25,6 +25,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"runtime"
 	"sort"
 	"time"
 
@@ -230,6 +231,7 @@ func runSpill(args []string) error {
 			"dup":         *dup,
 			"strategy":    *strategyFlag,
 			"input_bytes": inputBytes,
+			"gomaxprocs":  runtime.GOMAXPROCS(0),
 			"reps":        *reps,
 			"points":      points,
 		}

@@ -1,7 +1,6 @@
 package exec
 
 import (
-	"container/heap"
 	"errors"
 	"fmt"
 	"io"
@@ -27,7 +26,9 @@ type SortConfig struct {
 	// Combine, when non-nil, merges src into dst whenever their keys are
 	// equal — early aggregation inside the sort ("whenever two tuples with
 	// equal sort keys are found, they are aggregated into one tuple").
-	// Dedup and Combine are mutually exclusive.
+	// It must leave dst's key columns as they are: a tuple's key is encoded
+	// once, when the tuple enters the sort or a merge. Dedup and Combine
+	// are mutually exclusive.
 	Combine func(dst, src tuple.Tuple)
 	// Pool and TempDev host spilled runs. They may be nil when the caller
 	// guarantees the input fits in MemoryBytes.
@@ -45,31 +46,42 @@ type SortConfig struct {
 // Sort is the external merge sort operator. Open sorts initial runs with
 // quicksort and merges until one merge step remains; the final merge happens
 // on demand in Next — exactly the staging the paper's footnote 2 describes.
+//
+// Every comparison — run formation, replacement selection, the merge heap
+// and Dedup/Combine — is between normalized keys (tuple.NormKey) and is
+// counted where it is made, in less or equal.
 type Sort struct {
 	input  Operator
 	cfg    SortConfig
 	schema *tuple.Schema
 
-	// In-memory result path.
-	mem    []tuple.Tuple
+	// In-memory result path: mem is the sorted, reduced slot order of the
+	// one run, whose tuples stay in the arena.
+	mem    []int32
 	memPos int
 	inMem  bool
 
 	// External path. pending is the reducing merge's held-back tuple (nil
 	// when none); it lives in one of pendBuf's two buffers, alternating so
-	// the tuple returned by Next survives the next pending copy.
+	// the tuple returned by Next survives the next pending copy. pendKey is
+	// its key.
 	runs    []*storage.File
 	merge   *mergeState
 	pending tuple.Tuple
 	pendBuf [2]tuple.Tuple
 	pendIdx int
+	pendKey []uint64
 
 	// Run formation copies every input tuple into arena, one width-sized
-	// slot per tuple, and slots holds the tuple headers being sorted. Both
-	// are kept across runs and re-Opens and hold at most MemoryBytes/width
-	// tuples, so the memory grant bounds the sort's heap.
+	// slot per tuple, and encodes its key into keys, kw words per slot; perm
+	// is the slot order being sorted. All three are kept across runs and
+	// re-Opens and hold at most MemoryBytes/width slots, so the memory grant
+	// bounds the sort's heap.
 	arena []byte
-	slots []tuple.Tuple
+	keys  []uint64
+	perm  []int32
+	// scratch holds the shorter block of a rotation in sortSlots.
+	scratch []int32
 
 	opened bool
 	runSeq int
@@ -79,10 +91,12 @@ type Sort struct {
 	// memory grant (see PeakMemoryBytes).
 	peakBytes int
 
-	// cmp is the comparator compiled for the sort keys at construction,
+	// norm is the key encoding compiled for the sort keys at construction,
 	// the paper's "functions ... compiled prior to execution and passed to
-	// the processing algorithms by means of pointers" (§5.1).
-	cmp func(a, b tuple.Tuple) int
+	// the processing algorithms by means of pointers" (§5.1); kw is the
+	// width of one key in words.
+	norm *tuple.NormKey
+	kw   int
 }
 
 // NewSort sorts input according to cfg.
@@ -93,69 +107,92 @@ func NewSort(input Operator, cfg SortConfig) *Sort {
 	if cfg.Dedup && cfg.Combine != nil {
 		panic("exec: Sort Dedup and Combine are mutually exclusive")
 	}
+	if cfg.Counters == nil {
+		cfg.Counters = new(Counters) // counted, but by no one
+	}
+	norm := input.Schema().NormKey(cfg.Keys)
 	return &Sort{
 		input:  input,
 		cfg:    cfg,
 		schema: input.Schema(),
-		cmp:    input.Schema().CompareFunc(cfg.Keys),
+		norm:   norm,
+		kw:     norm.Words(),
 	}
 }
 
 // Schema implements Operator.
 func (s *Sort) Schema() *tuple.Schema { return s.schema }
 
-func (s *Sort) compare(a, b tuple.Tuple) int {
-	if s.cfg.Counters != nil {
-		s.cfg.Counters.Comp++
-	}
-	return s.cmp(a, b)
+// equal reports whether two normalized keys are equal, counting one
+// comparison.
+func (s *Sort) equal(a, b []uint64) bool {
+	s.cfg.Counters.Comp++
+	return slices.Equal(a, b)
 }
 
-// reduceSorted applies Dedup/Combine to a sorted slice in place and returns
-// the reduced prefix.
-func (s *Sort) reduceSorted(ts []tuple.Tuple) []tuple.Tuple {
-	if (!s.cfg.Dedup && s.cfg.Combine == nil) || len(ts) == 0 {
-		return ts
+// less reports whether normalized key a orders before b, counting one
+// comparison.
+func (s *Sort) less(a, b []uint64) bool {
+	s.cfg.Counters.Comp++
+	return tuple.LessWords(a, b)
+}
+
+// key returns the normalized key of arena slot i.
+func (s *Sort) key(i int32) []uint64 {
+	o := int(i) * s.kw
+	return s.keys[o : o+s.kw : o+s.kw]
+}
+
+// slotTuple returns the tuple in arena slot i.
+func (s *Sort) slotTuple(i int32) tuple.Tuple {
+	w := s.schema.Width()
+	o := int(i) * w
+	return s.arena[o : o+w : o+w]
+}
+
+// reduceSorted applies Dedup/Combine to a sorted slot order in place and
+// returns the reduced prefix.
+func (s *Sort) reduceSorted(perm []int32) []int32 {
+	if (!s.cfg.Dedup && s.cfg.Combine == nil) || len(perm) == 0 {
+		return perm
 	}
-	out := ts[:1]
-	for _, t := range ts[1:] {
+	out := perm[:1]
+	for _, p := range perm[1:] {
 		last := out[len(out)-1]
-		if s.compare(last, t) == 0 {
+		if s.equal(s.key(last), s.key(p)) {
 			if s.cfg.Combine != nil {
-				s.cfg.Combine(last, t)
+				s.cfg.Combine(s.slotTuple(last), s.slotTuple(p))
 			}
 			continue
 		}
-		out = append(out, t)
+		out = append(out, p)
 	}
 	return out
 }
 
-// stableSort sorts a run. slices.SortStableFunc is the same
-// insertion-sort-blocks-plus-SymMerge algorithm as sort.SliceStable, so it
-// makes the same comparisons in the same order, without the reflection-based
-// swapper; the tests swap sort.SliceStable back in to check exactly that.
-var stableSort = slices.SortStableFunc[[]tuple.Tuple, tuple.Tuple]
-
-// sortRun sorts one run in place and reduces it.
-func (s *Sort) sortRun(ts []tuple.Tuple) []tuple.Tuple {
-	stableSort(ts, s.compare)
-	return s.reduceSorted(ts)
+// sortRun sorts the run held in the first n arena slots and reduces it,
+// returning its slot order.
+func (s *Sort) sortRun(n int) []int32 {
+	perm := s.perm[:n]
+	for i := range perm {
+		perm[i] = int32(i)
+	}
+	s.sortSlots(perm)
+	return s.reduceSorted(perm)
 }
 
-func (s *Sort) spillRun(ts []tuple.Tuple) error {
+// spillRun writes the arena slots in perm order to a new run file.
+func (s *Sort) spillRun(perm []int32) error {
 	if s.cfg.Pool == nil || s.cfg.TempDev == nil {
 		return errors.New("exec: Sort input exceeds MemoryBytes but no temp device configured")
 	}
 	f := storage.NewSpillFile(s.cfg.Pool, s.cfg.TempDev, s.schema, fmt.Sprintf("sortrun-%d", s.runSeq))
 	s.runSeq++
-	if err := f.Load(ts); err != nil {
+	if err := f.LoadFunc(len(perm), func(i int) tuple.Tuple { return s.slotTuple(perm[i]) }); err != nil {
 		f.Drop() // not yet in s.runs; Close would never reclaim it
 		return err
 	}
-	if s.cfg.Counters != nil {
-		s.cfg.Counters.Move += int64(f.NumPages())
-	}
+	s.cfg.Counters.Move += int64(f.NumPages())
 	s.runs = append(s.runs, f)
 	return nil
 }
@@ -171,18 +208,22 @@ func (s *Sort) fanIn() int {
 	return f
 }
 
-// slot copies t into the arena slot of the i-th tuple of the current run.
-// The arena grows by doubling up to maxTuples slots, so a small input never
-// pays for the whole grant; the run's earlier tuples stay in the outgrown
-// arena, which is garbage once the run has spilled.
-func (s *Sort) slot(i, maxTuples int, t tuple.Tuple) tuple.Tuple {
+// slot copies t into arena slot i of the current run and encodes its key
+// beside it. The arena and the key and order buffers grow by doubling up to
+// maxTuples slots, so a small input never pays for the whole grant; growing
+// copies the run's earlier slots along.
+func (s *Sort) slot(i, maxTuples int, t tuple.Tuple) {
 	width := s.schema.Width()
-	if end := (i + 1) * width; end > len(s.arena) {
-		s.arena = make([]byte, min(max(2*len(s.arena), 64*width, end), maxTuples*width))
+	if i >= len(s.perm) {
+		n := min(max(2*len(s.perm), 64, i+1), maxTuples)
+		arena := make([]byte, n*width)
+		copy(arena, s.arena[:i*width])
+		keys := make([]uint64, n*s.kw)
+		copy(keys, s.keys[:i*s.kw])
+		s.arena, s.keys, s.perm = arena, keys, make([]int32, n)
 	}
-	dst := s.arena[i*width : (i+1)*width : (i+1)*width]
-	copy(dst, t)
-	return dst
+	copy(s.arena[i*width:(i+1)*width], t)
+	s.norm.Encode(s.key(int32(i)), t)
 }
 
 // formRuns consumes the input, sorting it in memory when it fits and
@@ -191,7 +232,7 @@ func (s *Sort) slot(i, maxTuples int, t tuple.Tuple) tuple.Tuple {
 // the arena, which is reused for every run once the previous one spilled.
 func (s *Sort) formRuns(maxTuples int) (spilled bool, err error) {
 	width := s.schema.Width()
-	s.slots = s.slots[:0]
+	n := 0
 	for {
 		t, err := s.input.Next()
 		if err == io.EOF {
@@ -200,62 +241,63 @@ func (s *Sort) formRuns(maxTuples int) (spilled bool, err error) {
 		if err != nil {
 			return spilled, err
 		}
-		t = s.slot(len(s.slots), maxTuples, t)
-		s.slots = append(s.slots, t)
-		if b := len(s.slots) * width; b > s.peakBytes {
+		s.slot(n, maxTuples, t)
+		n++
+		if b := n * width; b > s.peakBytes {
 			s.peakBytes = b
 		}
-		if len(s.slots) >= maxTuples {
+		if n >= maxTuples {
 			if s.cfg.ReplacementSelection {
 				// Hand the full buffer to the replacement-selection heap,
 				// which keeps draining the input itself.
-				return true, s.replacementSelection(s.slots)
+				return true, s.replacementSelection(n)
 			}
-			if err := s.spillRun(s.sortRun(s.slots)); err != nil {
+			if err := s.spillRun(s.sortRun(n)); err != nil {
 				return spilled, err
 			}
-			s.slots = s.slots[:0]
+			n = 0
 			spilled = true
 		}
 	}
 	if !spilled {
-		s.mem = s.sortRun(s.slots)
+		s.mem = s.sortRun(n)
 		s.memPos = 0
 		s.inMem = true
 		return false, nil
 	}
-	if len(s.slots) > 0 {
-		if err := s.spillRun(s.sortRun(s.slots)); err != nil {
+	if n > 0 {
+		if err := s.spillRun(s.sortRun(n)); err != nil {
 			return true, err
 		}
 	}
 	return true, nil
 }
 
-// rsItem is a replacement-selection heap entry: tuples tagged with the run
-// they belong to, ordered by (run, key).
+// rsItem is a replacement-selection heap entry: an arena slot tagged with
+// the run its tuple belongs to, ordered by (run, key).
 type rsItem struct {
-	t   tuple.Tuple
-	run int
+	slot int32
+	run  int
 }
 
 // replacementSelection drains the remaining input through a tournament
-// heap seeded with buf, writing runs that are on average twice the memory
-// size. On entry buf holds exactly the memory budget of tuples, in arena
-// slots: each refill is copied into the slot of the tuple it replaces.
-func (s *Sort) replacementSelection(buf []tuple.Tuple) error {
+// heap seeded with the first n arena slots, writing runs that are on
+// average twice the memory size. On entry the slots hold exactly the memory
+// budget of tuples: each refill is copied into the slot of the tuple it
+// replaces.
+func (s *Sort) replacementSelection(n int) error {
 	if s.cfg.Pool == nil || s.cfg.TempDev == nil {
 		return errors.New("exec: Sort input exceeds MemoryBytes but no temp device configured")
 	}
-	items := make([]rsItem, len(buf))
-	for i, t := range buf {
-		items[i] = rsItem{t: t, run: 0}
+	items := make([]rsItem, n)
+	for i := range items {
+		items[i] = rsItem{slot: int32(i), run: 0}
 	}
 	less := func(a, b rsItem) bool {
 		if a.run != b.run {
 			return a.run < b.run
 		}
-		return s.compare(a.t, b.t) < 0
+		return s.less(s.key(a.slot), s.key(b.slot))
 	}
 	// Build the heap.
 	h := items
@@ -308,9 +350,7 @@ func (s *Sort) replacementSelection(buf []tuple.Tuple) error {
 		if err := a.Close(); err != nil {
 			return err
 		}
-		if s.cfg.Counters != nil {
-			s.cfg.Counters.Move += int64(out.NumPages())
-		}
+		s.cfg.Counters.Move += int64(out.NumPages())
 		s.runs = append(s.runs, out)
 		out = nil
 		return nil
@@ -318,9 +358,9 @@ func (s *Sort) replacementSelection(buf []tuple.Tuple) error {
 	if err := startRun(); err != nil {
 		return err
 	}
-	// last is a copy of the tuple last written to the current run: the
+	// last is a copy of the key last written to the current run: the
 	// refill overwrites that tuple's slot before comparing against it.
-	last := make(tuple.Tuple, s.schema.Width())
+	last := make([]uint64, s.kw)
 	inputDone := false
 	for len(h) > 0 {
 		top := h[0]
@@ -336,10 +376,10 @@ func (s *Sort) replacementSelection(buf []tuple.Tuple) error {
 		// Dedup/Combine within the run happen later during the merge; runs
 		// here may contain duplicates across keys only in non-reducing
 		// mode. For reducing sorts the merge pass handles it.
-		if _, err := ap.Append(top.t); err != nil {
+		if _, err := ap.Append(s.slotTuple(top.slot)); err != nil {
 			return err
 		}
-		copy(last, top.t)
+		copy(last, s.key(top.slot))
 
 		// Refill from input.
 		if !inputDone {
@@ -349,10 +389,10 @@ func (s *Sort) replacementSelection(buf []tuple.Tuple) error {
 			} else if err != nil {
 				return err
 			} else {
-				nt := h[0].t
-				copy(nt, t)
+				slot := h[0].slot
+				s.slot(int(slot), n, t)
 				run := curRun
-				if s.compare(nt, last) < 0 {
+				if s.less(s.key(slot), last) {
 					run = curRun + 1
 				}
 				h[0].run = run
@@ -464,63 +504,58 @@ func (s *Sort) mergeToFile(runs []*storage.File) (*storage.File, error) {
 	if err := ap.Close(); err != nil {
 		return fail(err)
 	}
-	if s.cfg.Counters != nil {
-		s.cfg.Counters.Move += int64(out.NumPages())
-	}
+	s.cfg.Counters.Move += int64(out.NumPages())
 	return out, nil
 }
 
-// mergeState is a k-way merge over run scanners with a binary heap.
+// mergeState is a k-way merge over run scanners with a binary heap of run
+// cursors (see sortkernel.go).
 type mergeState struct {
 	s       *Sort
 	cursors []*runCursor
-	h       cursorHeap
+	heap    []*runCursor
 }
 
 // runCursor is one run's position in a merge. cur is a copy of the run's
-// current tuple, in one of two buffers: nextRaw returns cur and refills the
-// other buffer, so the returned tuple outlives the refill.
+// current tuple and key its normalized key followed by the run's index, so
+// that one key comparison orders equal keys by run. Each is in one of two
+// buffers: nextRaw returns cur and key and refills the other buffers, so the
+// returned tuple and key outlive the refill.
 type runCursor struct {
-	sc    *storage.Scanner
-	cur   tuple.Tuple
-	bufs  [2]tuple.Tuple
-	flip  int
-	index int
+	sc   *storage.Scanner
+	cur  tuple.Tuple
+	key  []uint64
+	bufs [2]tuple.Tuple
+	keys [2][]uint64
+	flip int
 }
 
-// load copies t into the cursor's free buffer and makes it current.
-func (rc *runCursor) load(t tuple.Tuple) {
+// newRunCursor returns a cursor over sc, the index-th run of a merge, for
+// keys of kw words.
+func newRunCursor(sc *storage.Scanner, index, kw int) *runCursor {
+	rc := &runCursor{sc: sc}
+	words := make([]uint64, 2*(kw+1))
+	for f := range rc.keys {
+		k := words[f*(kw+1) : (f+1)*(kw+1) : (f+1)*(kw+1)]
+		k[kw] = uint64(index)
+		rc.keys[f] = k
+	}
+	rc.key = rc.keys[0]
+	return rc
+}
+
+// load copies t into the cursor's free buffer, encodes its key and makes
+// both current.
+func (rc *runCursor) load(t tuple.Tuple, norm *tuple.NormKey) {
 	rc.flip ^= 1
 	rc.bufs[rc.flip] = append(rc.bufs[rc.flip][:0], t...)
 	rc.cur = rc.bufs[rc.flip]
-}
-
-type cursorHeap struct {
-	m    *mergeState
-	curs []*runCursor
-}
-
-func (h cursorHeap) Len() int { return len(h.curs) }
-func (h cursorHeap) Less(i, j int) bool {
-	c := h.m.s.compare(h.curs[i].cur, h.curs[j].cur)
-	if c != 0 {
-		return c < 0
-	}
-	return h.curs[i].index < h.curs[j].index // stability across runs
-}
-func (h cursorHeap) Swap(i, j int) { h.curs[i], h.curs[j] = h.curs[j], h.curs[i] }
-func (h *cursorHeap) Push(x any)   { h.curs = append(h.curs, x.(*runCursor)) }
-func (h *cursorHeap) Pop() any {
-	old := h.curs
-	n := len(old)
-	x := old[n-1]
-	h.curs = old[:n-1]
-	return x
+	rc.key = rc.keys[rc.flip]
+	norm.Encode(rc.key, t)
 }
 
 func (s *Sort) newMergeState(runs []*storage.File) (*mergeState, error) {
 	m := &mergeState{s: s}
-	m.h.m = m
 	// Stage the head page of every run before opening the cursors: the merge
 	// will touch all of them immediately, and issuing the reads together
 	// overlaps their device latency. Each run cursor then keeps its own
@@ -529,7 +564,7 @@ func (s *Sort) newMergeState(runs []*storage.File) (*mergeState, error) {
 		r.PrefetchPages(0, 1)
 	}
 	for i, r := range runs {
-		rc := &runCursor{sc: r.Scan(false), index: i}
+		rc := newRunCursor(r.Scan(false), i, s.kw)
 		t, _, err := rc.sc.Next()
 		if err == io.EOF {
 			rc.sc.Close()
@@ -539,11 +574,11 @@ func (s *Sort) newMergeState(runs []*storage.File) (*mergeState, error) {
 			m.close()
 			return nil, err
 		}
-		rc.load(t)
+		rc.load(t, s.norm)
 		m.cursors = append(m.cursors, rc)
-		m.h.curs = append(m.h.curs, rc)
+		m.heap = append(m.heap, rc)
 	}
-	heap.Init(&m.h)
+	m.init()
 	return m, nil
 }
 
@@ -552,45 +587,47 @@ func (m *mergeState) close() {
 		c.sc.Close()
 	}
 	m.cursors = nil
-	m.h.curs = nil
+	m.heap = nil
 }
 
-// nextRaw pops the globally smallest tuple from the merge heap.
-func (m *mergeState) nextRaw() (tuple.Tuple, error) {
-	if m.h.Len() == 0 {
-		return nil, io.EOF
+// nextRaw pops the globally smallest tuple and its key from the merge heap.
+func (m *mergeState) nextRaw() (tuple.Tuple, []uint64, error) {
+	if len(m.heap) == 0 {
+		return nil, nil, io.EOF
 	}
-	top := m.h.curs[0]
-	out := top.cur
+	top := m.heap[0]
+	out, key := top.cur, top.key
 	t, _, err := top.sc.Next()
 	if err == io.EOF {
-		heap.Pop(&m.h)
+		m.pop()
 		top.sc.Close()
 	} else if err != nil {
-		return nil, err
+		return nil, nil, err
 	} else {
-		top.load(t)
-		heap.Fix(&m.h, 0)
+		top.load(t, m.s.norm)
+		m.fixTop()
 	}
-	return out, nil
+	return out, key, nil
 }
 
 // setPending copies t into the pending buffer the previous result does not
-// occupy.
-func (s *Sort) setPending(t tuple.Tuple) {
+// occupy, and its key into pendKey.
+func (s *Sort) setPending(t tuple.Tuple, key []uint64) {
 	s.pendIdx ^= 1
 	s.pendBuf[s.pendIdx] = append(s.pendBuf[s.pendIdx][:0], t...)
 	s.pending = s.pendBuf[s.pendIdx]
+	s.pendKey = append(s.pendKey[:0], key[:s.kw]...)
 }
 
 // nextMerged applies Dedup/Combine across run boundaries using a pending
 // tuple.
 func (s *Sort) nextMerged(m *mergeState) (tuple.Tuple, error) {
 	if !s.cfg.Dedup && s.cfg.Combine == nil {
-		return m.nextRaw()
+		t, _, err := m.nextRaw()
+		return t, err
 	}
 	for {
-		t, err := m.nextRaw()
+		t, key, err := m.nextRaw()
 		if err == io.EOF {
 			if s.pending != nil {
 				out := s.pending
@@ -603,17 +640,17 @@ func (s *Sort) nextMerged(m *mergeState) (tuple.Tuple, error) {
 			return nil, err
 		}
 		if s.pending == nil {
-			s.setPending(t)
+			s.setPending(t, key)
 			continue
 		}
-		if s.compare(s.pending, t) == 0 {
+		if s.equal(s.pendKey, key[:s.kw]) {
 			if s.cfg.Combine != nil {
 				s.cfg.Combine(s.pending, t)
 			}
 			continue
 		}
 		out := s.pending
-		s.setPending(t)
+		s.setPending(t, key)
 		return out, nil
 	}
 }
@@ -627,7 +664,7 @@ func (s *Sort) Next() (tuple.Tuple, error) {
 		if s.memPos >= len(s.mem) {
 			return nil, io.EOF
 		}
-		t := s.mem[s.memPos]
+		t := s.slotTuple(s.mem[s.memPos])
 		s.memPos++
 		return t, nil
 	}

@@ -16,6 +16,15 @@ func sliceStable(ts []tuple.Tuple, cmp func(a, b tuple.Tuple) int) {
 	sort.SliceStable(ts, func(i, j int) bool { return cmp(ts[i], ts[j]) < 0 })
 }
 
+// pairRows reads the (a, b) rows of pairSchema tuples.
+func pairRows(ts []tuple.Tuple) [][2]int64 {
+	rows := make([][2]int64, len(ts))
+	for i, t := range ts {
+		rows[i] = [2]int64{pairSchema.Int64(t, 0), pairSchema.Int64(t, 1)}
+	}
+	return rows
+}
+
 // sumB is the Combine of the property test: it sums column b per key.
 func sumB(dst, src tuple.Tuple) {
 	pairSchema.SetInt64(dst, 1, pairSchema.Int64(dst, 1)+pairSchema.Int64(src, 1))
@@ -48,11 +57,7 @@ func refSort(in []tuple.Tuple, dedup, combine bool) ([][2]int64, int64) {
 		}
 		ts = out
 	}
-	rows := make([][2]int64, len(ts))
-	for i, t := range ts {
-		rows[i] = [2]int64{pairSchema.Int64(t, 0), pairSchema.Int64(t, 1)}
-	}
-	return rows, comps
+	return pairRows(ts), comps
 }
 
 // runSort drains one Sort over in, reading every tuple before the next Next
@@ -89,14 +94,18 @@ func runSort(t *testing.T, in []tuple.Tuple, cfg SortConfig) ([][2]int64, int64,
 
 // TestSortMatchesSliceStableReference runs Sort on random inputs full of
 // duplicate keys, plain, with Dedup and with Combine, with and without
-// replacement selection, in memory and spilled. Against the same Sort with
-// sort.SliceStable as its run sorter it must give identical output and an
-// identical Counters.Comp; against the independent reference it must give
-// the same rows (see checkSortRows) and, in memory, the same comparison
-// count.
+// replacement selection, in memory and spilled. Against the sort's earlier
+// algorithm on tuples (refExtSort), with sort.SliceStable and with
+// slices.SortStableFunc as its run sorter, it must give identical output
+// and an identical Counters.Comp; against the independent reference it must
+// give the same rows (see checkSortRows) and, in memory, the same
+// comparison count.
 func TestSortMatchesSliceStableReference(t *testing.T) {
-	orig := stableSort
-	t.Cleanup(func() { stableSort = orig })
+	_, dev := sortTestEnv()
+	stables := map[string]func([]tuple.Tuple, func(a, b tuple.Tuple) int){
+		"sort.SliceStable":      sliceStable,
+		"slices.SortStableFunc": slices.SortStableFunc[[]tuple.Tuple, tuple.Tuple],
+	}
 	rng := rand.New(rand.NewSource(13))
 	for iter := 0; iter < 20; iter++ {
 		n := rng.Intn(2000)
@@ -108,17 +117,17 @@ func TestSortMatchesSliceStableReference(t *testing.T) {
 		for _, mode := range []string{"plain", "dedup", "combine"} {
 			for _, rs := range []bool{false, true} {
 				for _, mem := range []int{1 << 20, 512, 1024 + 16*rng.Intn(64)} {
-					cfg := SortConfig{MemoryBytes: mem, Dedup: mode == "dedup", ReplacementSelection: rs}
+					cfg := SortConfig{Keys: []int{0}, MemoryBytes: mem, Dedup: mode == "dedup", ReplacementSelection: rs}
 					if mode == "combine" {
 						cfg.Combine = sumB
 					}
 					name := fmt.Sprintf("iter=%d/n=%d/%s/rs=%v/mem=%d", iter, n, mode, rs, mem)
-					stableSort = orig
 					got, comps, runs := runSort(t, in, cfg)
-					stableSort = sliceStable
-					ref, refComps, _ := runSort(t, in, cfg)
-					if !slices.Equal(got, ref) || comps != refComps {
-						t.Fatalf("%s: output or comparisons differ from the sort.SliceStable run (comps %d vs %d)", name, comps, refComps)
+					for sname, stable := range stables {
+						ref, refComps := refExternalSort(pairSchema, in, cfg, dev.PageSize(), stable)
+						if !slices.Equal(got, pairRows(ref)) || comps != refComps {
+							t.Fatalf("%s: output or comparisons differ from the tuple sort with %s (comps %d vs %d)", name, sname, comps, refComps)
+						}
 					}
 					want, wantComps := refSort(in, mode == "dedup", mode == "combine")
 					if runs == 0 && comps != wantComps {

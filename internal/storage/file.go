@@ -3,6 +3,14 @@
 // device, accessed through the buffer manager. Scans hand out record
 // addresses inside fixed buffer frames, so no bytes are copied on the read
 // path.
+//
+// Dirty marking: the pool's FlushAll writes back and clears the dirty flag
+// of every frame, fixed ones included. Appender.Append therefore marks its
+// tail page dirty after every record: a record appended after a concurrent
+// FlushAll must make the page dirty again, and durable heap files depend on
+// that. File.Load and LoadFunc own their tail page for the whole load and
+// mark it dirty once per page, after the page's last record and before the
+// unfix, which leaves it just as dirty.
 package storage
 
 import (
@@ -523,11 +531,49 @@ func (f *File) Drop() error {
 	return nil
 }
 
-// Load bulk-appends all tuples.
+// Load bulk-appends all tuples (see LoadFunc).
 func (f *File) Load(tuples []tuple.Tuple) error {
+	return f.LoadFunc(len(tuples), func(i int) tuple.Tuple { return tuples[i] })
+}
+
+// LoadFunc bulk-appends n records, the i-th being rec(i). It fixes, fills
+// and unfixes the same tail pages in the same order as n Appender.Append
+// calls, so pool and device statistics are identical, but it fills each page
+// under one fix and marks it dirty once, after the page's last record and
+// before the unfix, instead of once per record.
+func (f *File) LoadFunc(n int, rec func(i int) tuple.Tuple) error {
 	ap := f.NewAppender()
-	for _, t := range tuples {
-		if _, err := ap.Append(t); err != nil {
+	width := f.schema.Width()
+	for i := 0; i < n; {
+		if ap.handle == nil {
+			if err := ap.openTail(); err != nil {
+				return err
+			}
+		}
+		data := ap.handle.Bytes()
+		c := pageCount(data)
+		if c >= f.perPage {
+			if err := ap.rotate(); err != nil {
+				ap.Close()
+				return err
+			}
+			data, c = ap.handle.Bytes(), 0
+		}
+		var err error
+		start := c
+		for ; c < f.perPage && i < n; c, i = c+1, i+1 {
+			t := rec(i)
+			if len(t) != width {
+				err = fmt.Errorf("storage: record width %d, schema wants %d", len(t), width)
+				break
+			}
+			off := f.recordOffset(c)
+			copy(data[off:off+width], t)
+		}
+		setPageCount(data, c)
+		f.numRecs += c - start
+		ap.handle.MarkDirty()
+		if err != nil {
 			ap.Close()
 			return err
 		}

@@ -2,6 +2,7 @@ package storage
 
 import (
 	"errors"
+	"fmt"
 	"io"
 	"sync"
 	"testing"
@@ -232,6 +233,89 @@ func TestLoadReadAllRoundTrip(t *testing.T) {
 	for i := range in {
 		if s.CompareAll(in[i], out[i]) != 0 {
 			t.Errorf("record %d mismatch: %s vs %s", i, s.Format(in[i]), s.Format(out[i]))
+		}
+	}
+}
+
+// TestLoadMatchesPerRecordAppends loads records page by page with Load and
+// one by one with an Appender, into an empty file and behind a partly
+// filled, flushed tail page, in a pool that evicts during the load and in
+// one that does not. Pool statistics and device transfers and seeks must be
+// identical, and the loaded file must read back equal from the pool, after
+// a FlushAll, and from the device once every frame is dropped.
+func TestLoadMatchesPerRecordAppends(t *testing.T) {
+	for _, pages := range []int{3, 64} {
+		for _, before := range []int{0, 2} {
+			load := func(bulk bool) (*File, *buffer.Pool, *disk.Device, []tuple.Tuple) {
+				dev := disk.NewDevice("t", 68) // header 4 + 4 records of 16 bytes
+				pool := buffer.New(pages * 68)
+				f := NewFile(pool, dev, tuple.NewSchema(tuple.Int64Field("a"), tuple.Int64Field("b")), "load")
+				var in []tuple.Tuple
+				for i := 0; i < 41; i++ {
+					in = append(in, f.Schema().MustMake(i, -i))
+				}
+				if err := f.Load(in[:before]); err != nil {
+					t.Fatal(err)
+				}
+				// A clean tail page: the load must dirty it again.
+				if err := pool.FlushAll(); err != nil {
+					t.Fatal(err)
+				}
+				if bulk {
+					if err := f.Load(in[before:]); err != nil {
+						t.Fatal(err)
+					}
+				} else {
+					ap := f.NewAppender()
+					for _, tp := range in[before:] {
+						if _, err := ap.Append(tp); err != nil {
+							t.Fatal(err)
+						}
+					}
+					if err := ap.Close(); err != nil {
+						t.Fatal(err)
+					}
+				}
+				return f, pool, dev, in
+			}
+			name := fmt.Sprintf("pages=%d/before=%d", pages, before)
+			f, pool, dev, in := load(true)
+			_, refPool, refDev, _ := load(false)
+			if got, want := pool.Stats(), refPool.Stats(); got != want {
+				t.Errorf("%s: pool stats %+v, per-record appends %+v", name, got, want)
+			}
+			if got, want := dev.Stats(), refDev.Stats(); got.Transfers != want.Transfers || got.Seeks != want.Seeks {
+				t.Errorf("%s: device stats %+v, per-record appends %+v", name, got, want)
+			}
+			if f.NumRecords() != len(in) {
+				t.Fatalf("%s: %d records, want %d", name, f.NumRecords(), len(in))
+			}
+			if evicted := pool.Stats().Evictions > 0; evicted != (pages < f.NumPages()) {
+				t.Fatalf("%s: evicted=%v over %d pages", name, evicted, f.NumPages())
+			}
+			check := func(when string) {
+				out, err := f.ReadAll()
+				if err != nil {
+					t.Fatal(err)
+				}
+				if len(out) != len(in) {
+					t.Fatalf("%s %s: read back %d records, want %d", name, when, len(out), len(in))
+				}
+				for i := range in {
+					if f.Schema().CompareAll(in[i], out[i]) != 0 {
+						t.Fatalf("%s %s: record %d reads back %s, want %s", name, when, i, f.Schema().Format(out[i]), f.Schema().Format(in[i]))
+					}
+				}
+			}
+			check("after the load")
+			if err := pool.FlushAll(); err != nil {
+				t.Fatal(err)
+			}
+			check("after FlushAll")
+			if err := pool.DropClean(); err != nil {
+				t.Fatal(err)
+			}
+			check("from the device")
 		}
 	}
 }
