@@ -269,7 +269,8 @@ func runTable4(args []string) error {
 		fmt.Printf("(-check passed: %d cells equal the committed table4 section)\n", len(cells))
 	}
 	if *jsonOut {
-		section := map[string]any{"geometry": *geometry, "gomaxprocs": runtime.GOMAXPROCS(0), "cells": cells}
+		// Each cell's ns_op is one timed run.
+		section := map[string]any{"geometry": *geometry, "gomaxprocs": runtime.GOMAXPROCS(0), "reps": 1, "cells": cells}
 		if err := writeJSONSection(benchJSONFile, "table4", section); err != nil {
 			return err
 		}

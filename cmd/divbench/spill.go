@@ -85,7 +85,7 @@ func runSpill(args []string) error {
 	dup := fs.Int("dup", 1, "dividend duplicate factor")
 	budgetsFlag := fs.String("budgets", "100,50,25,10,5,2,1", "comma-separated budgets as % of input bytes, largest first")
 	strategyFlag := fs.String("strategy", "quotient", "partition strategy: quotient or divisor")
-	reps := fs.Int("reps", 3, "repetitions per point; minimum wall clock wins")
+	reps := fs.Int("reps", 3, "timed repetitions per point, after one untimed pass; minimum wall clock wins")
 	jsonOut := fs.Bool("json", false, "merge a memory_pressure section into "+benchJSONFile)
 	check := fs.Bool("check", false, "exit nonzero unless quotients are exact at every budget, at least one point spills, the full budget does not, and runtime grows smoothly as the budget shrinks")
 	if err := fs.Parse(args); err != nil {
@@ -150,50 +150,59 @@ func runSpill(args []string) error {
 	fmt.Printf("%5s %10s %10s %6s %5s %6s %6s %10s %10s %10s\n",
 		"pct", "budget", "elapsed", "depth", "cells", "spill", "resid", "spill B", "restart", "k")
 
+	points := make([]spillPoint, len(budgets))
+	for i, pct := range budgets {
+		points[i] = spillPoint{Pct: pct, BudgetBytes: max(inputBytes*pct/100, 1)}
+	}
+
+	// The recursive division is timed in rep-major order after one untimed
+	// pass over every point: each point's minimum then comes from runs
+	// spread over the whole sweep, all with warm code, caches and heap,
+	// instead of from back-to-back runs of which the first point's are the
+	// coldest of the process.
 	spillBase := storage.LiveSpillFiles()
-	var points []spillPoint
-	for _, pct := range budgets {
-		budget := inputBytes * pct / 100
-		if budget < 1 {
-			budget = 1
-		}
-		p := spillPoint{Pct: pct, BudgetBytes: budget}
-		for r := 0; r < *reps; r++ {
+	for r := -1; r < *reps; r++ {
+		for i := range points {
+			p := &points[i]
 			start := time.Now()
 			qts, st, err := division.DivideRecursive(spec(), env, strategy,
-				division.HashDivisionOptions{MemoryBudget: budget}, division.RecursiveOptions{})
+				division.HashDivisionOptions{MemoryBudget: p.BudgetBytes}, division.RecursiveOptions{})
 			ns := time.Since(start).Nanoseconds()
 			if err != nil {
-				return fmt.Errorf("spill: budget %d%% (%d bytes): %w", pct, budget, err)
+				return fmt.Errorf("spill: budget %d%% (%d bytes): %w", p.Pct, p.BudgetBytes, err)
 			}
 			if err := verifyQuotient(spec().QuotientSchema(), qts, inst.QuotientIDs); err != nil {
-				return fmt.Errorf("spill: budget %d%% (%d bytes): %w", pct, budget, err)
+				return fmt.Errorf("spill: budget %d%% (%d bytes): %w", p.Pct, p.BudgetBytes, err)
 			}
-			if r == 0 || ns < p.Ns {
-				p.Ns = ns
-				p.QuotientRows = len(qts)
-				p.Attempts = st.Attempts
-				p.Overflowed = st.Overflowed
-				p.WastedTuples = st.WastedTuples
-				p.Repartitions = st.Repartitions
-				p.MaxDepth = st.MaxDepth
-				p.Cells = st.Cells
-				p.MemResidentCells = st.MemResidentCells
-				p.SpilledParts = st.SpilledPartitions
-				p.SpillBytes = st.SpillBytes
+			if live := storage.LiveSpillFiles(); live != spillBase {
+				return fmt.Errorf("spill: budget %d%%: %d spill files leaked", p.Pct, live-spillBase)
 			}
+			if r < 0 || (r > 0 && ns >= p.Ns) {
+				continue
+			}
+			p.Ns = ns
+			p.QuotientRows = len(qts)
+			p.Attempts = st.Attempts
+			p.Overflowed = st.Overflowed
+			p.WastedTuples = st.WastedTuples
+			p.Repartitions = st.Repartitions
+			p.MaxDepth = st.MaxDepth
+			p.Cells = st.Cells
+			p.MemResidentCells = st.MemResidentCells
+			p.SpilledParts = st.SpilledPartitions
+			p.SpillBytes = st.SpillBytes
 		}
-		if live := storage.LiveSpillFiles(); live != spillBase {
-			return fmt.Errorf("spill: budget %d%%: %d spill files leaked", pct, live-spillBase)
-		}
+	}
 
+	for i := range points {
+		p := &points[i]
 		// The restart-on-overflow baseline: rerun the whole division with
 		// k = 1, 2, 4, … quotient partitions until the tables fit. At tight
 		// budgets it may fail outright — that is part of the result.
 		for r := 0; r < *reps; r++ {
 			start := time.Now()
 			qts, k, err := division.DivideWithBudget(spec(), env,
-				budget, 0)
+				p.BudgetBytes, 0)
 			ns := time.Since(start).Nanoseconds()
 			if err != nil {
 				p.RestartOK = false
@@ -202,7 +211,7 @@ func runSpill(args []string) error {
 				break
 			}
 			if err := verifyQuotient(spec().QuotientSchema(), qts, inst.QuotientIDs); err != nil {
-				return fmt.Errorf("spill: restart baseline at %d%%: %w", pct, err)
+				return fmt.Errorf("spill: restart baseline at %d%%: %w", p.Pct, err)
 			}
 			p.RestartOK = true
 			p.RestartK = k
@@ -216,10 +225,9 @@ func runSpill(args []string) error {
 			restart = time.Duration(p.RestartNs).Round(time.Microsecond).String()
 		}
 		fmt.Printf("%4d%% %10d %10s %6d %5d %6d %6d %10d %10s %10d\n",
-			pct, budget, time.Duration(p.Ns).Round(time.Microsecond),
+			p.Pct, p.BudgetBytes, time.Duration(p.Ns).Round(time.Microsecond),
 			p.MaxDepth, p.Cells, p.SpilledParts, p.MemResidentCells, p.SpillBytes,
 			restart, p.RestartK)
-		points = append(points, p)
 	}
 
 	if *jsonOut {

@@ -3,7 +3,6 @@ package division
 import (
 	"encoding/binary"
 
-	"repro/internal/bitmap"
 	"repro/internal/exec"
 	"repro/internal/hashtab"
 	"repro/internal/tuple"
@@ -67,29 +66,30 @@ func (st *AbsorbStats) fold(discarded, candidates, bits int64) {
 type Absorber struct {
 	divisor      *hashtab.Table
 	quotient     *hashtab.Table
-	divisorCount int64
 	countersOnly bool
 	onCandidate  func() error
-	project      func(src tuple.Tuple) tuple.Tuple
+	project      func(dst, src tuple.Tuple)
 	probeKernels
 }
 
 // NewAbsorber compiles step 2 for dividend schema ds. divisor holds the
-// numbered divisor tuples (divisorCount distinct ones) and quotient receives
-// candidates keyed by the qCols projection. With countersOnly a candidate
-// keeps a counter instead of a bit map (§3.3, duplicate-free dividends
-// only). onCandidate, when set, runs after each new candidate's bit map is
-// accounted to the quotient table; its error (a memory budget) stops the
-// batch.
+// numbered divisor tuples (divisorCount distinct ones) and quotient, still
+// empty, receives candidates keyed by the qCols projection, each with a
+// divisorCount-bit map. With countersOnly a candidate keeps a counter
+// instead of a bit map (§3.3, duplicate-free dividends only). onCandidate,
+// when set, runs after each new candidate's bit map is accounted to the
+// quotient table; its error (a memory budget) stops the batch.
 func NewAbsorber(ds *tuple.Schema, divisorCols, qCols []int, divisor, quotient *hashtab.Table,
 	divisorCount int64, countersOnly bool, onCandidate func() error) *Absorber {
+	if !countersOnly {
+		quotient.SetBitMaps(int(divisorCount))
+	}
 	return &Absorber{
 		divisor:      divisor,
 		quotient:     quotient,
-		divisorCount: divisorCount,
 		countersOnly: countersOnly,
 		onCandidate:  onCandidate,
-		project:      func(src tuple.Tuple) tuple.Tuple { return ds.ProjectTuple(src, qCols) },
+		project:      func(dst, src tuple.Tuple) { ds.ProjectInto(dst, src, qCols) },
 		probeKernels: compileProbes(ds, divisorCols, qCols),
 	}
 }
@@ -109,77 +109,88 @@ func (a *Absorber) AbsorbBatch(b *exec.Batch, st *AbsorbStats) error {
 	for i := 0; i < n; i++ {
 		t := b.Tuple(i)
 		de := divisorTable.LookupPre(a.divHash(t), t, a.divEq)
-		if de == nil {
+		if de < 0 {
 			discarded++
 			continue
 		}
 		qe, created := quotientTable.GetOrInsertPre(a.quotHash(t), t, a.quotEq, a.project)
 		if created {
 			candidates++
-			if err := a.newCandidate(qe); err != nil {
+			if err := a.newCandidate(); err != nil {
 				st.fold(discarded, candidates, bits)
 				return err
 			}
 		}
 		if countersOnly {
-			qe.Num++
+			quotientTable.AddNum(qe, 1)
 			continue
 		}
 		bits++
-		qe.Bits.Set(int(de.Num))
+		quotientTable.SetBit(qe, int(divisorTable.Num(de)))
 	}
 	st.fold(discarded, candidates, bits)
 	return nil
 }
 
 // absorbBatchU64 is AbsorbBatch for the single-8-byte-column shape: keys
-// load as words, hashes are the unrolled tuple.HashUint64LE, and the chain
-// walks (hashtab.LookupU64 / GetOrInsertU64) compare words — no closure or
-// interface call in the loop. Probes, statistics and counts are identical
-// to the closure path.
+// load as words, hashes are the unrolled tuple.HashUint64LE, and the probes
+// (hashtab.LookupU64 / GetOrInsertU64) compare words — no closure or
+// interface call in the loop. Each group of tuples is hashed in a pass of
+// its own before it is probed: a hash is a chain of eight dependent
+// multiplies, and apart from the probes the chains of consecutive tuples
+// overlap. Probes, statistics and counts are identical to the closure path.
 func (a *Absorber) absorbBatchU64(b *exec.Batch, st *AbsorbStats) error {
 	divisorTable, quotientTable := a.divisor, a.quotient
 	countersOnly := a.countersOnly
 	divOff, quotOff := a.divOff, a.quotOff
 	n := b.Len()
 	st.Dividend += int64(n)
+	raw, w := b.Raw(), b.Schema().Width()
 	var discarded, candidates, bits int64
-	for i := 0; i < n; i++ {
-		t := b.Tuple(i)
-		dk := binary.LittleEndian.Uint64(t[divOff:])
-		de := divisorTable.LookupU64(tuple.HashUint64LE(dk), dk)
-		if de == nil {
-			discarded++
-			continue
+	var dh, qh [hashGroup]uint64
+	for lo := 0; lo < n; lo += hashGroup {
+		group := raw[lo*w : min(n, lo+hashGroup)*w]
+		for i := 0; i*w < len(group); i++ {
+			t := group[i*w:]
+			dh[i] = tuple.HashUint64LE(binary.LittleEndian.Uint64(t[divOff:]))
+			qh[i] = tuple.HashUint64LE(binary.LittleEndian.Uint64(t[quotOff:]))
 		}
-		qk := binary.LittleEndian.Uint64(t[quotOff:])
-		qe, created := quotientTable.GetOrInsertU64(tuple.HashUint64LE(qk), qk)
-		if created {
-			candidates++
-			if err := a.newCandidate(qe); err != nil {
-				st.fold(discarded, candidates, bits)
-				return err
+		for i := 0; i*w < len(group); i++ {
+			t := group[i*w:]
+			de := divisorTable.LookupU64(dh[i], binary.LittleEndian.Uint64(t[divOff:]))
+			if de < 0 {
+				discarded++
+				continue
 			}
+			qe, created := quotientTable.GetOrInsertU64(qh[i], binary.LittleEndian.Uint64(t[quotOff:]))
+			if created {
+				candidates++
+				if err := a.newCandidate(); err != nil {
+					st.fold(discarded, candidates, bits)
+					return err
+				}
+			}
+			if countersOnly {
+				quotientTable.AddNum(qe, 1)
+				continue
+			}
+			bits++
+			quotientTable.SetBit(qe, int(divisorTable.Num(de)))
 		}
-		if countersOnly {
-			qe.Num++
-			continue
-		}
-		bits++
-		qe.Bits.Set(int(de.Num))
 	}
 	st.fold(discarded, candidates, bits)
 	return nil
 }
 
-// newCandidate gives a fresh candidate its bit map, accounts it to the
-// quotient table and runs the onCandidate hook.
-func (a *Absorber) newCandidate(qe *hashtab.Element) error {
+// hashGroup is how many tuples absorbBatchU64 hashes ahead of probing.
+const hashGroup = 128
+
+// newCandidate runs the onCandidate hook for a fresh candidate, whose bit
+// map the quotient table has already allocated and accounted.
+func (a *Absorber) newCandidate() error {
 	if a.countersOnly {
 		return nil
 	}
-	qe.Bits = bitmap.New(int(a.divisorCount))
-	a.quotient.AddMemBytes(qe.Bits.SizeBytes())
 	if a.onCandidate != nil {
 		return a.onCandidate()
 	}

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"io"
 
-	"repro/internal/bitmap"
 	"repro/internal/exec"
 	"repro/internal/hashtab"
 	"repro/internal/obs"
@@ -79,8 +78,9 @@ func (c *CombinedPartitionedHashDivision) run() error {
 	divClusters := make([][]tuple.Tuple, c.kd)
 	err := exec.ForEach(c.sp.Divisor, func(t tuple.Tuple) error {
 		if e, created := divTab.GetOrInsert(t); created {
-			i := int(tuple.HashBytes(e.Tuple) % uint64(c.kd))
-			divClusters[i] = append(divClusters[i], e.Tuple)
+			k := divTab.Key(e)
+			i := int(tuple.HashBytes(k) % uint64(c.kd))
+			divClusters[i] = append(divClusters[i], k)
 		}
 		return nil
 	})
@@ -141,6 +141,7 @@ func (c *CombinedPartitionedHashDivision) run() error {
 	// Phase grid: cell (i, j) ÷ divisor cluster i, collected over divisor
 	// phase numbers.
 	collection := hashtab.NewForExpected(c.qs, c.env.expectedQuotient(), c.env.hbs())
+	collection.SetBitMaps(numPhases)
 	parent := c.env.ProfileParent()
 	for i := 0; i < c.kd; i++ {
 		if phaseOf[i] < 0 {
@@ -159,14 +160,11 @@ func (c *CombinedPartitionedHashDivision) run() error {
 				DivisorCols: c.sp.DivisorCols,
 			}, env, c.hdOpts)
 			err := exec.ForEach(obs.Instrument(phase, span, c.env.Counters), func(q tuple.Tuple) error {
-				e, created := collection.GetOrInsert(q)
-				if created {
-					e.Bits = bitmap.New(numPhases)
-				}
+				e, _ := collection.GetOrInsert(q)
 				if c.env.Counters != nil {
 					c.env.Counters.Bit++
 				}
-				e.Bits.Set(phaseOf[i])
+				collection.SetBit(e, phaseOf[i])
 				return nil
 			})
 			if err != nil {
@@ -174,9 +172,9 @@ func (c *CombinedPartitionedHashDivision) run() error {
 			}
 		}
 	}
-	err = collection.Iterate(func(e *hashtab.Element) error {
-		if e.Bits.AllSet() {
-			c.results = append(c.results, e.Tuple)
+	err = collection.Iterate(func(e int) error {
+		if collection.AllSet(e) {
+			c.results = append(c.results, collection.Key(e))
 		}
 		return nil
 	})

@@ -4,7 +4,6 @@ import (
 	"errors"
 	"io"
 
-	"repro/internal/bitmap"
 	"repro/internal/exec"
 	"repro/internal/hashtab"
 	"repro/internal/obs"
@@ -166,7 +165,7 @@ func (h *HashDivision) buildDivisorTable() error {
 		h.stats.DivisorTuples++
 		e, created := h.divisorTable.GetOrInsert(t)
 		if created {
-			e.Num = h.divisorCount
+			h.divisorTable.SetNum(e, h.divisorCount)
 			h.divisorCount++
 		}
 		if err := h.checkBudget(); err != nil {
@@ -184,32 +183,31 @@ func (h *HashDivision) absorb(t tuple.Tuple) (tuple.Tuple, error) {
 	ds := h.sp.Dividend.Schema()
 	h.stats.DividendTuples++
 	de := h.divisorTable.LookupProjected(t, ds, h.sp.DivisorCols)
-	if de == nil {
+	if de < 0 {
 		// No matching divisor tuple: discard immediately.
 		h.stats.DiscardedNoMatch++
 		return nil, nil
 	}
-	qe, created := h.quotientTable.GetOrInsertProjected(t, ds, h.qCols)
+	qt := h.quotientTable
+	qe, created := qt.GetOrInsertProjected(t, ds, h.qCols)
 	if created {
 		h.stats.Candidates++
 	}
 	if created && !h.opts.CountersOnly {
-		qe.Bits = bitmap.New(int(h.divisorCount))
-		h.quotientTable.AddMemBytes(qe.Bits.SizeBytes())
 		if err := h.checkBudget(); err != nil {
 			return nil, err
 		}
 	}
 	if h.opts.CountersOnly {
 		// Counter-only variant: requires a duplicate-free dividend.
-		qe.Num++
+		n := qt.AddNum(qe, 1)
 		if h.opts.EarlyEmit {
 			if h.env.Counters != nil {
 				h.env.Counters.Comp++
 			}
-			if qe.Num == h.divisorCount {
+			if n == h.divisorCount {
 				h.stats.QuotientTuples++
-				return qe.Tuple, nil
+				return qt.Key(qe), nil
 			}
 		}
 		return nil, nil
@@ -218,18 +216,18 @@ func (h *HashDivision) absorb(t tuple.Tuple) (tuple.Tuple, error) {
 	if h.env.Counters != nil {
 		h.env.Counters.Bit++
 	}
-	wasSet := qe.Bits.SetAndReport(int(de.Num))
+	wasSet := qt.SetBitReport(qe, int(h.divisorTable.Num(de)))
 	if h.opts.EarlyEmit && !wasSet {
 		// §3.3: increment the counter only for fresh bits and compare with
 		// the divisor count; on equality the quotient tuple is produced
 		// immediately.
-		qe.Num++
+		n := qt.AddNum(qe, 1)
 		if h.env.Counters != nil {
 			h.env.Counters.Comp++
 		}
-		if qe.Num == h.divisorCount {
+		if n == h.divisorCount {
 			h.stats.QuotientTuples++
-			return qe.Tuple, nil
+			return qt.Key(qe), nil
 		}
 	}
 	return nil, nil
@@ -251,6 +249,9 @@ func (h *HashDivision) Open() error {
 		return err
 	}
 	h.quotientTable = hashtab.NewForExpected(h.qs, h.env.expectedQuotient(), h.env.hbs())
+	if !h.opts.CountersOnly {
+		h.quotientTable.SetBitMaps(int(h.divisorCount))
+	}
 	h.results = nil
 	h.pos = 0
 	h.streaming = h.opts.EarlyEmit
@@ -276,24 +277,25 @@ func (h *HashDivision) Open() error {
 
 	// Step 3: find the result in the quotient table.
 	ph = h.scanQSpan.Start(h.env.Counters)
-	err = h.quotientTable.Iterate(func(e *hashtab.Element) error {
+	qt := h.quotientTable
+	err = qt.Iterate(func(e int) error {
 		if h.opts.CountersOnly {
 			if h.env.Counters != nil {
 				h.env.Counters.Comp++
 			}
-			if e.Num == h.divisorCount && h.divisorCount > 0 {
-				h.results = append(h.results, e.Tuple)
+			if qt.Num(e) == h.divisorCount && h.divisorCount > 0 {
+				h.results = append(h.results, qt.Key(e))
 				h.stats.QuotientTuples++
 			}
 			return nil
 		}
 		if h.env.Counters != nil {
-			h.env.Counters.Bit += int64(e.Bits.SizeBytes() / 8)
+			h.env.Counters.Bit += int64(qt.BitMapWords())
 		}
 		// Word-level population count (§3.3 "inspecting a word at a time"):
 		// a candidate is in the quotient iff every divisor bit is set.
-		if h.divisorCount > 0 && e.Bits.PopCount() == int(h.divisorCount) {
-			h.results = append(h.results, e.Tuple)
+		if h.divisorCount > 0 && qt.PopCount(e) == int(h.divisorCount) {
+			h.results = append(h.results, qt.Key(e))
 			h.stats.QuotientTuples++
 		}
 		return nil

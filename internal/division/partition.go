@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"io"
 
-	"repro/internal/bitmap"
 	"repro/internal/exec"
 	"repro/internal/hashtab"
 	"repro/internal/obs"
@@ -289,6 +288,7 @@ func (p *PartitionedHashDivision) runDivisorPartitioned() error {
 	// notes, the phase number replaces the divisor-table lookup, so the
 	// collection skips step 1 of hash-division.
 	collection := hashtab.NewForExpected(p.qs, p.env.expectedQuotient(), p.env.hbs())
+	collection.SetBitMaps(numPhases)
 	parent := p.env.ProfileParent()
 	for c := 0; c < p.k; c++ {
 		if phaseOf[c] < 0 {
@@ -301,15 +301,11 @@ func (p *PartitionedHashDivision) runDivisorPartitioned() error {
 			DivisorCols: p.sp.DivisorCols,
 		}, env, p.hdOpts)
 		err := exec.ForEach(obs.Instrument(phase, span, p.env.Counters), func(q tuple.Tuple) error {
-			e, created := collection.GetOrInsert(q)
-			if created {
-				e.Bits = bitmap.New(numPhases)
-				collection.AddMemBytes(e.Bits.SizeBytes())
-			}
+			e, _ := collection.GetOrInsert(q)
 			if p.env.Counters != nil {
 				p.env.Counters.Bit++
 			}
-			e.Bits.Set(phaseOf[c])
+			collection.SetBit(e, phaseOf[c])
 			return nil
 		})
 		if err != nil {
@@ -322,8 +318,8 @@ func (p *PartitionedHashDivision) runDivisorPartitioned() error {
 			// for per-phase reporting.
 			done := phaseOf[c] + 1
 			onTrack := 0
-			_ = collection.Iterate(func(e *hashtab.Element) error {
-				if e.Bits.PopCount() == done {
+			_ = collection.Iterate(func(e int) error {
+				if collection.PopCount(e) == done {
 					onTrack++
 				}
 				return nil
@@ -332,9 +328,9 @@ func (p *PartitionedHashDivision) runDivisorPartitioned() error {
 				done, numPhases, collection.Len(), onTrack)
 		}
 	}
-	err = collection.Iterate(func(e *hashtab.Element) error {
-		if e.Bits.AllSet() {
-			p.results = append(p.results, e.Tuple)
+	err = collection.Iterate(func(e int) error {
+		if collection.AllSet(e) {
+			p.results = append(p.results, collection.Key(e))
 		}
 		return nil
 	})

@@ -184,10 +184,11 @@ func mix64(x uint64) uint64 {
 // depthSalt is the fresh hash salt for the given recursion depth.
 func depthSalt(depth int) uint64 { return uint64(depth+1) * 0x9e3779b97f4a7c15 }
 
-// rcell is one partition cell of the dividend: memory-resident tuples, a
-// spill file, or (at the root only) the caller's re-openable operator.
+// rcell is one partition cell of the dividend: memory-resident records
+// (back to back in one arena), a spill file, or (at the root only) the
+// caller's re-openable operator.
 type rcell struct {
-	mem  []tuple.Tuple
+	mem  []byte
 	file *storage.File
 	op   exec.Operator
 	n    int // tuple count; -1 when unknown (root operator)
@@ -200,7 +201,7 @@ func (c rcell) operator(ds *tuple.Schema) exec.Operator {
 	case c.file != nil:
 		return exec.NewTableScan(c.file, false)
 	default:
-		return exec.NewMemScan(ds, c.mem)
+		return exec.NewArenaScan(ds, c.mem)
 	}
 }
 
@@ -227,21 +228,38 @@ func (r *RecursiveHashDivision) dropLive() {
 	r.live = nil
 }
 
-// partitionCell streams src through route (which returns a child index, or
-// -1 to discard) into fanOut child cells with hybrid residency: children
-// accumulate in memory until the partition buffer exceeds the budget, at
-// which point the largest memory-resident child is staged out to a spill
-// file and grows on disk from then on. Cells that fit never touch disk.
-func (r *RecursiveHashDivision) partitionCell(src exec.Operator, ds *tuple.Schema, route func(tuple.Tuple) int, fanOut int) ([]rcell, error) {
+// partitionCell streams cell, a batch at a time, through route (which returns
+// a child index, or -1 to discard) into fanOut child cells with hybrid
+// residency: children accumulate records in flat memory arenas until the
+// partition buffer exceeds the budget, at which point the largest
+// memory-resident child is staged out to a spill file and grows on disk from
+// then on. Cells that fit never touch disk.
+//
+// A spilled child's records are staged until its tail page is full and
+// written with one AppendRecords per page, which fixes, rotates and unfixes
+// pages at the same tuples a per-record Append would: spill files, pool and
+// device statistics do not depend on the staging.
+func (r *RecursiveHashDivision) partitionCell(cell rcell, ds *tuple.Schema, route func(tuple.Tuple) int, fanOut int) ([]rcell, error) {
 	width := ds.Width()
 	budget := r.budget()
-	mem := make([][]tuple.Tuple, fanOut)
+	// Memory-resident children's records. Each arena starts at an even
+	// share of the budget (of the cell, when its size is known): children
+	// that outgrow it are the ones the budget keeps in memory.
+	mem := make([][]byte, fanOut)
+	share := budget / fanOut
+	if cell.n >= 0 {
+		share = min(share, (cell.n/fanOut+1)*width)
+	}
+	for i := range mem {
+		mem[i] = make([]byte, 0, share/width*width)
+	}
 	files := make([]*storage.File, fanOut)
 	appenders := make([]*storage.Appender, fanOut)
+	stage := make([][]byte, fanOut) // spilled children's records not yet on their tail page
+	room := make([]int, fanOut)     // free slots on the tail page when the stage was last empty
 	counts := make([]int, fanOut)
 	memBytes := 0
 
-	created := 0 // files created by THIS call, for the error path
 	fail := func(err error) ([]rcell, error) {
 		for _, a := range appenders {
 			if a != nil {
@@ -253,7 +271,6 @@ func (r *RecursiveHashDivision) partitionCell(src exec.Operator, ds *tuple.Schem
 				r.dropCell(rcell{file: f})
 			}
 		}
-		_ = created
 		return nil, err
 	}
 
@@ -265,7 +282,7 @@ func (r *RecursiveHashDivision) partitionCell(src exec.Operator, ds *tuple.Schem
 			if files[i] != nil {
 				continue
 			}
-			if b := len(mem[i]) * width; b > bestBytes {
+			if b := len(mem[i]); b > bestBytes {
 				best, bestBytes = i, b
 			}
 		}
@@ -278,42 +295,65 @@ func (r *RecursiveHashDivision) partitionCell(src exec.Operator, ds *tuple.Schem
 		f := storage.NewSpillFile(r.env.Pool, r.env.TempDev, ds, fmt.Sprintf("divspill-%d", r.spillSeq))
 		r.spillSeq++
 		r.live = append(r.live, f)
-		created++
 		ap := f.NewAppender()
-		for _, t := range mem[best] {
-			if _, err := ap.Append(t); err != nil {
-				ap.Close()
-				return false, err
-			}
-		}
 		files[best], appenders[best] = f, ap
+		if err := ap.AppendRecords(mem[best]); err != nil {
+			return false, err
+		}
+		room[best] = ap.Room()
+		stage[best] = make([]byte, 0, (f.RecordsPerPage()+1)*width)
 		memBytes -= bestBytes
 		mem[best] = nil
 		return true, nil
 	}
 
-	err := exec.ForEach(src, func(t tuple.Tuple) error {
-		c := route(t)
-		if c < 0 {
+	// spill appends t to spilled child c. When the staged records already
+	// fill the tail page, they go out together with t, which starts the
+	// next page exactly where a per-record Append would rotate.
+	spill := func(c int, t tuple.Tuple) error {
+		stage[c] = append(stage[c], t...)
+		if len(stage[c]) <= room[c]*width {
 			return nil
 		}
-		if r.env.Counters != nil {
-			r.env.Counters.Hash++
-		}
-		counts[c]++
-		if appenders[c] != nil {
-			_, err := appenders[c].Append(t)
-			return err
-		}
-		mem[c] = append(mem[c], t.Clone())
-		memBytes += width
-		for budget > 0 && memBytes > budget {
-			progress, err := spillLargest()
-			if err != nil {
-				return err
+		err := appenders[c].AppendRecords(stage[c])
+		stage[c] = stage[c][:0]
+		room[c] = appenders[c].Room()
+		return err
+	}
+
+	batch := exec.NewBatch(ds, r.env.batchSize())
+	defer batch.Release()
+	err := exec.DrainMorsel(exec.ToBatch(cell.operator(ds)), batch, func(b *exec.Batch) (err error) {
+		var routed int64
+		defer func() {
+			if r.env.Counters != nil {
+				r.env.Counters.Hash += routed
 			}
-			if !progress {
-				break
+		}()
+		for i, n := 0, b.Len(); i < n; i++ {
+			t := b.Tuple(i)
+			c := route(t)
+			if c < 0 {
+				continue
+			}
+			routed++
+			counts[c]++
+			if appenders[c] != nil {
+				if err := spill(c, t); err != nil {
+					return err
+				}
+				continue
+			}
+			mem[c] = append(mem[c], t...)
+			memBytes += width
+			for budget > 0 && memBytes > budget {
+				progress, err := spillLargest()
+				if err != nil {
+					return err
+				}
+				if !progress {
+					break
+				}
 			}
 		}
 		return nil
@@ -325,11 +365,14 @@ func (r *RecursiveHashDivision) partitionCell(src exec.Operator, ds *tuple.Schem
 		if a == nil {
 			continue
 		}
-		if err := a.Close(); err != nil {
-			appenders[i] = nil
-			return fail(err)
+		err := a.AppendRecords(stage[i])
+		if cerr := a.Close(); err == nil {
+			err = cerr
 		}
 		appenders[i] = nil
+		if err != nil {
+			return fail(err)
+		}
 	}
 
 	cells := make([]rcell, fanOut)
@@ -531,7 +574,7 @@ func (r *RecursiveHashDivision) repartitionQuotientCell(c rcell, divisor []tuple
 	if parent != nil {
 		pspan = parent.Child(fmt.Sprintf("repartition depth=%d fan=%d", depth+1, fanOut), "recursive-partition")
 	}
-	children, err := r.partitionCell(c.operator(ds), ds, route, fanOut)
+	children, err := r.partitionCell(c, ds, route, fanOut)
 	if err != nil {
 		return 0, err
 	}
@@ -623,7 +666,7 @@ func (r *RecursiveHashDivision) divideDivisorNode(divisor []tuple.Tuple, c rcell
 	}
 	r.env.progressf("recursive: divisor cluster of %d tuples exceeds budget %d at depth %d; re-clustering into %d",
 		len(divisor), r.budget(), depth, fanOut)
-	children, err := r.partitionCell(c.operator(ds), ds, route, fanOut)
+	children, err := r.partitionCell(c, ds, route, fanOut)
 	if err != nil {
 		return err
 	}
@@ -752,7 +795,7 @@ func (r *RecursiveHashDivision) run() error {
 		}
 		leaves, err := r.divideQuotientCell(c, cluster, depth, span, func(q tuple.Tuple) error {
 			e, _ := collection.GetOrInsert(q)
-			e.Num++
+			collection.AddNum(e, 1)
 			if r.env.Counters != nil {
 				r.env.Counters.Comp++
 			}
@@ -769,12 +812,12 @@ func (r *RecursiveHashDivision) run() error {
 	if err := r.divideDivisorNode(divisor, root, 0, parent, leaf); err != nil {
 		return err
 	}
-	err = collection.Iterate(func(e *hashtab.Element) error {
+	err = collection.Iterate(func(e int) error {
 		if r.env.Counters != nil {
 			r.env.Counters.Comp++
 		}
-		if e.Num == int64(totalLeaves) {
-			r.results = append(r.results, e.Tuple)
+		if collection.Num(e) == int64(totalLeaves) {
+			r.results = append(r.results, collection.Key(e))
 		}
 		return nil
 	})
@@ -824,7 +867,7 @@ func collectDistinctDivisor(sp Spec, env Env) ([]tuple.Tuple, error) {
 	var out []tuple.Tuple
 	err := exec.ForEach(sp.Divisor, func(t tuple.Tuple) error {
 		if e, created := tab.GetOrInsert(t); created {
-			out = append(out, e.Tuple)
+			out = append(out, tab.Key(e))
 		}
 		return nil
 	})

@@ -85,7 +85,7 @@ func NewSharedTable(sp Spec, divisor []tuple.Tuple, hbs float64, expectedQuotien
 	tab := hashtab.NewWithCapacity(sp.Divisor.Schema(), len(divisor))
 	for _, d := range divisor {
 		if e, created := tab.GetOrInsert(d); created {
-			e.Num = s.divisorCount
+			tab.SetNum(e, s.divisorCount)
 			s.divisorCount++
 		}
 	}
@@ -122,24 +122,24 @@ func (s *SharedTable) bucketFor(h uint64) int {
 // for concurrent use; st must be private to the caller.
 func (s *SharedTable) Absorb(t tuple.Tuple, st *SharedStats) {
 	st.Dividend++
-	var de *hashtab.Element
+	var de int
 	var qh uint64
 	if s.fastU64 {
 		dk := binary.LittleEndian.Uint64(t[s.divOff:])
 		de = s.divisor.LookupU64(tuple.HashUint64LE(dk), dk, &st.Table)
-		if de == nil {
+		if de < 0 {
 			return
 		}
 		qh = tuple.HashUint64LE(binary.LittleEndian.Uint64(t[s.quotOff:]))
 	} else {
 		de = s.divisor.LookupPre(s.divHash(t), t, s.divEq, &st.Table)
-		if de == nil {
+		if de < 0 {
 			return
 		}
 		qh = s.quotHash(t)
 	}
 	e := s.candidate(qh, t, st)
-	e.Bits.AtomicSet(int(de.Num))
+	e.Bits.AtomicSet(int(s.divisor.Num(de)))
 }
 
 // AbsorbBatch absorbs every tuple of b; the batch may alias foreign memory

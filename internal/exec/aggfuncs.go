@@ -122,8 +122,8 @@ type HashAggregate struct {
 	schema    *tuple.Schema
 
 	table  *hashtab.Table
-	accs   map[*hashtab.Element][]int64
-	elems  []*hashtab.Element
+	accs   [][]int64 // per element number
+	elems  []int     // element numbers in bucket order
 	pos    int
 	out    tuple.Tuple
 	opened bool
@@ -148,7 +148,7 @@ func (g *HashAggregate) Schema() *tuple.Schema { return g.schema }
 func (g *HashAggregate) Open() error {
 	is := g.input.Schema()
 	g.table = hashtab.NewForExpected(is.Project(g.groupCols), 256, 2)
-	g.accs = make(map[*hashtab.Element][]int64)
+	g.accs = g.accs[:0]
 	if err := g.input.Open(); err != nil {
 		return err
 	}
@@ -167,7 +167,7 @@ func (g *HashAggregate) Open() error {
 			for i, a := range g.aggs {
 				acc[i] = a.init(is, t)
 			}
-			g.accs[e] = acc
+			g.accs = append(g.accs, acc) // element numbers are dense: e == len(g.accs)
 		} else {
 			acc := g.accs[e]
 			for i, a := range g.aggs {
@@ -179,7 +179,7 @@ func (g *HashAggregate) Open() error {
 		return err
 	}
 	g.elems = g.elems[:0]
-	g.table.Iterate(func(e *hashtab.Element) error {
+	g.table.Iterate(func(e int) error {
 		g.elems = append(g.elems, e)
 		return nil
 	})
@@ -204,7 +204,7 @@ func (g *HashAggregate) Next() (tuple.Tuple, error) {
 	}
 	e := g.elems[g.pos]
 	g.pos++
-	copy(g.out, e.Tuple)
+	copy(g.out, g.table.Key(e))
 	nGroup := len(g.groupCols)
 	for i, v := range g.accs[e] {
 		g.schema.SetInt64(g.out, nGroup+i, v)

@@ -147,7 +147,7 @@ type HashGroupCount struct {
 	hbs       float64
 
 	table    *hashtab.Table
-	elems    []*hashtab.Element
+	elems    []int // element numbers in bucket order
 	pos      int
 	out      tuple.Tuple
 	opened   bool
@@ -191,13 +191,13 @@ func (g *HashGroupCount) Open() error {
 			return err
 		}
 		e, _ := g.table.GetOrInsertProjected(t, is, g.groupCols)
-		e.Num++
+		g.table.AddNum(e, 1)
 	}
 	if err := g.input.Close(); err != nil {
 		return err
 	}
 	g.elems = g.elems[:0]
-	g.table.Iterate(func(e *hashtab.Element) error {
+	g.table.Iterate(func(e int) error {
 		g.elems = append(g.elems, e)
 		return nil
 	})
@@ -222,8 +222,8 @@ func (g *HashGroupCount) Next() (tuple.Tuple, error) {
 	}
 	e := g.elems[g.pos]
 	g.pos++
-	copy(g.out, e.Tuple)
-	g.schema.SetInt64(g.out, g.schema.NumFields()-1, e.Num)
+	copy(g.out, g.table.Key(e))
+	g.schema.SetInt64(g.out, g.schema.NumFields()-1, g.table.Num(e))
 	return g.out, nil
 }
 

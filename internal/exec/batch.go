@@ -16,6 +16,7 @@ package exec
 import (
 	"fmt"
 	"io"
+	"slices"
 	"sync"
 
 	"repro/internal/tuple"
@@ -108,6 +109,24 @@ func (b *Batch) Append(t tuple.Tuple) {
 	b.owned = append(b.owned, t...)
 	b.data = b.owned
 	b.n++
+}
+
+// AppendTuples copies ts into the arena, growing it once for all of them.
+func (b *Batch) AppendTuples(ts []tuple.Tuple) {
+	if b.aliased {
+		panic("exec: AppendTuples on aliased Batch without Reset")
+	}
+	off := len(b.owned)
+	b.owned = slices.Grow(b.owned, len(ts)*b.width)[:off+len(ts)*b.width]
+	for _, t := range ts {
+		if len(t) != b.width {
+			panic(fmt.Sprintf("exec: Batch.AppendTuples tuple width %d, schema wants %d", len(t), b.width))
+		}
+		copy(b.owned[off:off+b.width], t)
+		off += b.width
+	}
+	b.data = b.owned
+	b.n += len(ts)
 }
 
 // AppendSlot reserves the next tuple slot and returns it zeroed for the
@@ -339,10 +358,9 @@ func (m *MemScan) NextBatch(b *Batch) error {
 		return io.EOF
 	}
 	b.Reset()
-	for m.pos < len(m.tuples) && !b.Full() {
-		b.Append(m.tuples[m.pos])
-		m.pos++
-	}
+	n := min(len(m.tuples)-m.pos, b.Cap())
+	b.AppendTuples(m.tuples[m.pos : m.pos+n])
+	m.pos += n
 	return nil
 }
 

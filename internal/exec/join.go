@@ -312,7 +312,7 @@ func (j *HashSemiJoin) Next() (tuple.Tuple, error) {
 		if err != nil {
 			return nil, err
 		}
-		if j.table.LookupProjected(t, ps, j.probeKeys) != nil {
+		if j.table.LookupProjected(t, ps, j.probeKeys) >= 0 {
 			return t, nil
 		}
 	}

@@ -120,6 +120,10 @@ func NewMemScan(schema *tuple.Schema, tuples []tuple.Tuple) *MemScan {
 // Schema implements Operator.
 func (m *MemScan) Schema() *tuple.Schema { return m.schema }
 
+// Tuples returns the scanned tuples, shared read-only: a consumer that
+// copies each tuple anyway reads them here instead of through a batch.
+func (m *MemScan) Tuples() []tuple.Tuple { return m.tuples }
+
 // Open implements Operator.
 func (m *MemScan) Open() error {
 	m.pos = 0
@@ -143,6 +147,67 @@ func (m *MemScan) Next() (tuple.Tuple, error) {
 // Close implements Operator.
 func (m *MemScan) Close() error {
 	m.open = false
+	return nil
+}
+
+// ArenaScan streams fixed-width records stored back to back in one byte
+// slice — a partition buffer. Next and NextBatch alias the arena, so
+// nothing is copied; the arena must not change while it is scanned.
+type ArenaScan struct {
+	schema *tuple.Schema
+	data   []byte
+	pos    int // byte offset of the next record
+	open   bool
+}
+
+// NewArenaScan scans the records of data, len(data)/schema.Width() of them.
+func NewArenaScan(schema *tuple.Schema, data []byte) *ArenaScan {
+	return &ArenaScan{schema: schema, data: data}
+}
+
+// Schema implements Operator.
+func (a *ArenaScan) Schema() *tuple.Schema { return a.schema }
+
+// Open implements Operator.
+func (a *ArenaScan) Open() error {
+	a.pos = 0
+	a.open = true
+	return nil
+}
+
+// Next implements Operator.
+func (a *ArenaScan) Next() (tuple.Tuple, error) {
+	if !a.open {
+		return nil, errNotOpen("ArenaScan")
+	}
+	w := a.schema.Width()
+	if a.pos+w > len(a.data) {
+		return nil, io.EOF
+	}
+	t := tuple.Tuple(a.data[a.pos : a.pos+w : a.pos+w])
+	a.pos += w
+	return t, nil
+}
+
+// NextBatch implements BatchOperator: the batch aliases the next Cap()
+// records of the arena.
+func (a *ArenaScan) NextBatch(b *Batch) error {
+	if !a.open {
+		return errNotOpen("ArenaScan")
+	}
+	w := a.schema.Width()
+	n := min((len(a.data)-a.pos)/w, b.Cap())
+	if n <= 0 {
+		return io.EOF
+	}
+	b.SetAlias(a.data[a.pos:], n)
+	a.pos += n * w
+	return nil
+}
+
+// Close implements Operator.
+func (a *ArenaScan) Close() error {
+	a.open = false
 	return nil
 }
 

@@ -136,7 +136,7 @@ func (d *Difference) Next() (tuple.Tuple, error) {
 		if err != nil {
 			return nil, err
 		}
-		if d.rightSet.Lookup(t) != nil {
+		if d.rightSet.Lookup(t) >= 0 {
 			continue
 		}
 		if _, created := d.seen.GetOrInsert(t); created {

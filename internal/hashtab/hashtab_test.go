@@ -5,7 +5,6 @@ import (
 	"testing"
 	"testing/quick"
 
-	"repro/internal/bitmap"
 	"repro/internal/tuple"
 )
 
@@ -17,23 +16,23 @@ func TestInsertLookup(t *testing.T) {
 	s := keySchema()
 	tab := New(s, 8)
 	for v := 0; v < 100; v++ {
-		e := tab.Insert(s.MustMake(v))
-		e.Num = int64(v * 10)
+		e, _ := tab.GetOrInsert(s.MustMake(v))
+		tab.SetNum(e, int64(v*10))
 	}
 	if tab.Len() != 100 {
 		t.Errorf("Len = %d, want 100", tab.Len())
 	}
 	for v := 0; v < 100; v++ {
 		e := tab.Lookup(s.MustMake(v))
-		if e == nil {
-			t.Fatalf("Lookup(%d) = nil", v)
+		if e < 0 {
+			t.Fatalf("Lookup(%d) missed", v)
 		}
-		if e.Num != int64(v*10) {
-			t.Errorf("Lookup(%d).Num = %d", v, e.Num)
+		if tab.Num(e) != int64(v*10) {
+			t.Errorf("Lookup(%d).Num = %d", v, tab.Num(e))
 		}
 	}
-	if tab.Lookup(s.MustMake(999)) != nil {
-		t.Error("Lookup(missing) should be nil")
+	if tab.Lookup(s.MustMake(999)) >= 0 {
+		t.Error("Lookup(missing) should miss")
 	}
 }
 
@@ -41,9 +40,9 @@ func TestInsertClonesKey(t *testing.T) {
 	s := keySchema()
 	tab := New(s, 4)
 	k := s.MustMake(7)
-	tab.Insert(k)
+	tab.GetOrInsert(k)
 	s.SetInt64(k, 0, 8) // mutate caller's tuple
-	if tab.Lookup(s.MustMake(7)) == nil {
+	if tab.Lookup(s.MustMake(7)) < 0 {
 		t.Error("table aliased caller's tuple instead of cloning")
 	}
 }
@@ -55,12 +54,12 @@ func TestGetOrInsertDeduplicates(t *testing.T) {
 	if !created {
 		t.Error("first GetOrInsert should create")
 	}
-	e1.Num = 42
+	tab.SetNum(e1, 42)
 	e2, created := tab.GetOrInsert(s.MustMake(5))
 	if created {
 		t.Error("second GetOrInsert should find")
 	}
-	if e2 != e1 || e2.Num != 42 {
+	if e2 != e1 || tab.Num(e2) != 42 {
 		t.Error("GetOrInsert returned a different element")
 	}
 	if tab.Len() != 1 {
@@ -73,16 +72,18 @@ func TestLookupProjected(t *testing.T) {
 	div := tuple.NewSchema(tuple.Int64Field("student"), tuple.Int64Field("course"))
 	course := tuple.NewSchema(tuple.Int64Field("course"))
 	tab := New(course, 4)
-	tab.Insert(course.MustMake(101)).Num = 0
-	tab.Insert(course.MustMake(102)).Num = 1
+	for i, c := range []int64{101, 102} {
+		e, _ := tab.GetOrInsert(course.MustMake(c))
+		tab.SetNum(e, int64(i))
+	}
 
 	d := div.MustMake(1, 102)
 	e := tab.LookupProjected(d, div, []int{1})
-	if e == nil || e.Num != 1 {
+	if e < 0 || tab.Num(e) != 1 {
 		t.Fatalf("LookupProjected = %v", e)
 	}
 	miss := div.MustMake(1, 999)
-	if tab.LookupProjected(miss, div, []int{1}) != nil {
+	if tab.LookupProjected(miss, div, []int{1}) >= 0 {
 		t.Error("LookupProjected should miss for unknown course")
 	}
 }
@@ -112,18 +113,8 @@ func TestGetOrInsertProjected(t *testing.T) {
 		t.Errorf("Len = %d, want 2", tab.Len())
 	}
 	// The stored tuple is the projection.
-	if got := quot.Int64(e1.Tuple, 0); got != 1 {
+	if got := quot.Int64(tab.Key(e1), 0); got != 1 {
 		t.Errorf("stored quotient key = %d, want 1", got)
-	}
-}
-
-func TestDuplicateInsertAllowed(t *testing.T) {
-	s := keySchema()
-	tab := New(s, 2)
-	tab.Insert(s.MustMake(1))
-	tab.Insert(s.MustMake(1))
-	if tab.Len() != 2 {
-		t.Errorf("Len = %d, want 2 (Insert keeps duplicates)", tab.Len())
 	}
 }
 
@@ -131,11 +122,11 @@ func TestIterateVisitsAll(t *testing.T) {
 	s := keySchema()
 	tab := New(s, 4)
 	for v := 0; v < 50; v++ {
-		tab.Insert(s.MustMake(v))
+		tab.GetOrInsert(s.MustMake(v))
 	}
 	seen := make(map[int64]bool)
-	err := tab.Iterate(func(e *Element) error {
-		seen[s.Int64(e.Tuple, 0)] = true
+	err := tab.Iterate(func(e int) error {
+		seen[s.Int64(tab.Key(e), 0)] = true
 		return nil
 	})
 	if err != nil {
@@ -151,7 +142,7 @@ func TestGrowthKeepsElements(t *testing.T) {
 	tab := New(s, 1)
 	tab.SetMaxLoad(2)
 	for v := 0; v < 1000; v++ {
-		tab.Insert(s.MustMake(v))
+		tab.GetOrInsert(s.MustMake(v))
 	}
 	if tab.NumBuckets() <= 1 {
 		t.Error("table did not grow")
@@ -160,7 +151,7 @@ func TestGrowthKeepsElements(t *testing.T) {
 		t.Errorf("load factor %.2f exceeds max", tab.LoadFactor())
 	}
 	for v := 0; v < 1000; v++ {
-		if tab.Lookup(s.MustMake(v)) == nil {
+		if tab.Lookup(s.MustMake(v)) < 0 {
 			t.Fatalf("lost key %d after growth", v)
 		}
 	}
@@ -171,7 +162,7 @@ func TestFixedGeometry(t *testing.T) {
 	tab := New(s, 3)
 	tab.SetMaxLoad(0)
 	for v := 0; v < 100; v++ {
-		tab.Insert(s.MustMake(v))
+		tab.GetOrInsert(s.MustMake(v))
 	}
 	if tab.NumBuckets() != 3 {
 		t.Errorf("fixed table grew to %d buckets", tab.NumBuckets())
@@ -182,15 +173,17 @@ func TestStatsCount(t *testing.T) {
 	s := keySchema()
 	tab := New(s, 1) // single bucket: comparisons are predictable
 	tab.SetMaxLoad(0)
-	tab.Insert(s.MustMake(1)) // 1 hash
-	tab.Insert(s.MustMake(2)) // 1 hash
-	tab.Lookup(s.MustMake(2)) // 1 hash + 1 comparison (2 is at chain head)
+	tab.GetOrInsert(s.MustMake(1)) // 1 hash, empty chain
+	tab.GetOrInsert(s.MustMake(2)) // 1 hash + 1 comparison (miss against 1)
+	tab.Lookup(s.MustMake(2))      // 1 hash + 1 comparison (2 is at chain head)
+	tab.Lookup(s.MustMake(1))      // 1 hash + 2 comparisons (1 is at the tail)
+	tab.Lookup(s.MustMake(3))      // 1 hash + 2 comparisons (a miss walks the chain)
 	st := tab.Stats()
-	if st.Hashes != 3 {
-		t.Errorf("Hashes = %d, want 3", st.Hashes)
+	if st.Hashes != 5 {
+		t.Errorf("Hashes = %d, want 5", st.Hashes)
 	}
-	if st.Comparisons != 1 {
-		t.Errorf("Comparisons = %d, want 1", st.Comparisons)
+	if st.Comparisons != 6 {
+		t.Errorf("Comparisons = %d, want 6", st.Comparisons)
 	}
 }
 
@@ -198,24 +191,33 @@ func TestMemBytesGrowsWithBitmaps(t *testing.T) {
 	s := keySchema()
 	tab := New(s, 4)
 	base := tab.MemBytes()
-	e := tab.Insert(s.MustMake(1))
+	tab.GetOrInsert(s.MustMake(1))
 	afterInsert := tab.MemBytes()
-	if afterInsert <= base {
-		t.Error("MemBytes did not grow on insert")
+	if afterInsert != base+8+elementOverheadBytes {
+		t.Errorf("MemBytes after insert = %d, want %d", afterInsert, base+8+elementOverheadBytes)
 	}
-	e.Bits = bitmap.New(1024)
-	tab.AddMemBytes(e.Bits.SizeBytes())
-	if tab.MemBytes() != afterInsert+128 {
-		t.Errorf("MemBytes = %d, want %d", tab.MemBytes(), afterInsert+128)
+	bt := New(s, 4)
+	bt.SetBitMaps(1024)
+	bt.GetOrInsert(s.MustMake(1))
+	if bt.MemBytes() != afterInsert+128 {
+		t.Errorf("MemBytes = %d, want %d", bt.MemBytes(), afterInsert+128)
 	}
 }
 
 func TestReset(t *testing.T) {
 	s := keySchema()
 	tab := New(s, 4)
-	tab.Insert(s.MustMake(1))
+	e, _ := tab.GetOrInsert(s.MustMake(1))
+	k := tab.Key(e)
 	tab.Reset()
-	if tab.Len() != 0 || tab.Lookup(s.MustMake(1)) != nil {
+	if tab.Len() != 0 || tab.Lookup(s.MustMake(1)) >= 0 {
+		t.Error("Reset did not clear the table")
+	}
+	tab.GetOrInsert(s.MustMake(2))
+	if s.Int64(k, 0) != 1 {
+		t.Error("an insert after Reset overwrote a key returned before it")
+	}
+	if tab.Len() != 1 || tab.Lookup(s.MustMake(2)) < 0 {
 		t.Error("Reset did not clear the table")
 	}
 }
@@ -240,7 +242,7 @@ func TestQuickBehavesLikeMap(t *testing.T) {
 		model := make(map[int16]int64)
 		for _, k := range keys {
 			e, _ := tab.GetOrInsert(s.MustMake(int64(k)))
-			e.Num++
+			tab.AddNum(e, 1)
 			model[k]++
 		}
 		if tab.Len() != len(model) {
@@ -248,7 +250,7 @@ func TestQuickBehavesLikeMap(t *testing.T) {
 		}
 		for k, want := range model {
 			e := tab.Lookup(s.MustMake(int64(k)))
-			if e == nil || e.Num != want {
+			if e < 0 || tab.Num(e) != want {
 				return false
 			}
 		}
@@ -275,13 +277,13 @@ func BenchmarkLookupProjected(b *testing.B) {
 	course := div.Project([]int{1})
 	tab := NewForExpected(course, 400, 2)
 	for v := 0; v < 400; v++ {
-		tab.Insert(course.MustMake(v))
+		tab.GetOrInsert(course.MustMake(v))
 	}
 	d := div.MustMake(1, 200)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if tab.LookupProjected(d, div, []int{1}) == nil {
+		if tab.LookupProjected(d, div, []int{1}) < 0 {
 			b.Fatal("miss")
 		}
 	}
@@ -293,7 +295,7 @@ func TestNewWithCapacityNeverGrows(t *testing.T) {
 		tab := NewWithCapacity(s, capacity)
 		buckets := tab.NumBuckets()
 		for v := 0; v < capacity; v++ {
-			tab.Insert(s.MustMake(v))
+			tab.GetOrInsert(s.MustMake(v))
 		}
 		if got := tab.Stats().Rehashed; got != 0 {
 			t.Errorf("capacity %d: Rehashed = %d, want 0", capacity, got)
@@ -309,7 +311,7 @@ func TestGrowChargesRehashes(t *testing.T) {
 	tab := New(s, 1) // maxLoad 4: fifth insert triggers growth
 	const n = 100
 	for v := 0; v < n; v++ {
-		tab.Insert(s.MustMake(v))
+		tab.GetOrInsert(s.MustMake(v))
 	}
 	st := tab.Stats()
 	if st.Rehashed == 0 {
@@ -322,8 +324,8 @@ func TestGrowChargesRehashes(t *testing.T) {
 	}
 	// All elements must still be reachable after the rehashes.
 	for v := 0; v < n; v++ {
-		if tab.Lookup(s.MustMake(v)) == nil {
-			t.Fatalf("Lookup(%d) = nil after growth", v)
+		if tab.Lookup(s.MustMake(v)) < 0 {
+			t.Fatalf("Lookup(%d) missed after growth", v)
 		}
 	}
 }
@@ -336,7 +338,7 @@ func TestLookupPreMatchesProjected(t *testing.T) {
 	pre := New(ks, 8)
 	hash := src.HashFunc(cols)
 	eq := src.EqualProjectedFunc(cols)
-	project := func(t tuple.Tuple) tuple.Tuple { return src.ProjectTuple(t, cols) }
+	project := func(dst, t tuple.Tuple) { src.ProjectInto(dst, t, cols) }
 
 	for v := 0; v < 50; v++ {
 		tp := src.MustMake(v, v%10)
@@ -350,7 +352,7 @@ func TestLookupPreMatchesProjected(t *testing.T) {
 		tp := src.MustMake(v, v%12)
 		e1 := generic.LookupProjected(tp, src, cols)
 		e2 := pre.LookupPre(hash(tp), tp, eq)
-		if (e1 == nil) != (e2 == nil) {
+		if e1 != e2 {
 			t.Fatalf("lookup %d: generic %v, pre %v", v, e1, e2)
 		}
 	}
@@ -381,10 +383,10 @@ func TestU64ProbesMatchProjected(t *testing.T) {
 		e1 := generic.LookupProjected(tp, src, cols)
 		k := key(v)
 		e2 := fast.LookupU64(tuple.HashUint64LE(k), k)
-		if (e1 == nil) != (e2 == nil) {
+		if e1 != e2 {
 			t.Fatalf("lookup %d: generic %v, fast %v", v, e1, e2)
 		}
-		if e1 != nil && ks.CompareAll(e1.Tuple, e2.Tuple) != 0 {
+		if e1 >= 0 && ks.CompareAll(generic.Key(e1), fast.Key(e2)) != 0 {
 			t.Errorf("lookup %d: stored keys differ", v)
 		}
 	}
@@ -410,8 +412,8 @@ func TestFrozenMatchesTable(t *testing.T) {
 	s := keySchema()
 	tab := New(s, 8)
 	for i := 0; i < 50; i += 2 {
-		e := tab.Insert(s.MustMake(i))
-		e.Num = int64(i)
+		e, _ := tab.GetOrInsert(s.MustMake(i))
+		tab.SetNum(e, int64(i))
 	}
 	f := tab.Freeze()
 	base := tab.Stats()
@@ -421,10 +423,10 @@ func TestFrozenMatchesTable(t *testing.T) {
 		key := s.MustMake(i)
 		want := tab.Lookup(key)
 		got := f.Lookup(key, &st)
-		if (want == nil) != (got == nil) {
+		if want != got {
 			t.Fatalf("key %d: table %v, frozen %v", i, want, got)
 		}
-		if want != nil && (want != got || got.Num != int64(i)) {
+		if want >= 0 && f.Num(got) != int64(i) {
 			t.Fatalf("key %d: frozen returned different element", i)
 		}
 		// Projected probe from a wider source tuple.
@@ -447,7 +449,8 @@ func TestFrozenConcurrentProbes(t *testing.T) {
 	s := keySchema()
 	tab := New(s, 16)
 	for i := 0; i < 100; i++ {
-		tab.Insert(s.MustMake(i)).Num = int64(i)
+		e, _ := tab.GetOrInsert(s.MustMake(i))
+		tab.SetNum(e, int64(i))
 	}
 	f := tab.Freeze()
 	const goroutines = 8
@@ -459,7 +462,7 @@ func TestFrozenConcurrentProbes(t *testing.T) {
 		go func(g int) {
 			defer wg.Done()
 			for i := 0; i < 200; i++ {
-				if e := f.Lookup(s.MustMake(i%150), &stats[g]); e != nil {
+				if e := f.Lookup(s.MustMake(i%150), &stats[g]); e >= 0 && f.Num(e) == int64(i%150) {
 					hits[g]++
 				}
 			}

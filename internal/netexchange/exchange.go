@@ -365,7 +365,7 @@ func collectDistinct(ctx context.Context, sp division.Spec) ([]tuple.Tuple, erro
 	var out []tuple.Tuple
 	err := exec.ForEach(exec.NewContextScan(ctx, sp.Divisor), func(t tuple.Tuple) error {
 		if e, created := tab.GetOrInsert(t); created {
-			out = append(out, e.Tuple)
+			out = append(out, tab.Key(e))
 		}
 		return nil
 	})

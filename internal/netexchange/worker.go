@@ -171,7 +171,7 @@ divisor:
 			for i, n := 0, recv.Len(); i < n; i++ {
 				t := recv.Tuple(i)
 				if e, created := divisorTable.GetOrInsert(t); created {
-					e.Num = divisorCount
+					divisorTable.SetNum(e, divisorCount)
 					divisorCount++
 					if bv != nil {
 						bv.Set(int(tuple.HashBytes(t) % uint64(j.FilterBits)))
@@ -249,9 +249,9 @@ dividend:
 // trailing partial frame. A worker without divisor tuples discards its whole
 // dividend, so its quotient table is empty and nothing ships.
 func shipComplete(fb *frameBatcher, tab *hashtab.Table) error {
-	err := tab.Iterate(func(e *hashtab.Element) error {
-		if e.Bits.AllSet() {
-			return fb.add(e.Tuple)
+	err := tab.Iterate(func(e int) error {
+		if tab.AllSet(e) {
+			return fb.add(tab.Key(e))
 		}
 		return nil
 	})
@@ -310,6 +310,7 @@ func collectAndEmit(conn net.Conn, fr *frameReader, qs *tuple.Schema, divisorCou
 		return fmt.Errorf("%w: divisor partitioning with %d phases", ErrCorruptFrame, j.NumPhases)
 	}
 	collection := hashtab.NewForExpected(qs, 256, j.HBS)
+	collection.SetBitMaps(j.NumPhases)
 	recv := exec.NewBatch(qs, j.BatchSize)
 collect:
 	for {
@@ -329,11 +330,8 @@ collect:
 				return err
 			}
 			for i, n := 0, recv.Len(); i < n; i++ {
-				e, created := collection.GetOrInsert(recv.Tuple(i))
-				if created {
-					e.Bits = bitmap.New(j.NumPhases)
-				}
-				e.Bits.Set(int(h.Phase))
+				e, _ := collection.GetOrInsert(recv.Tuple(i))
+				collection.SetBit(e, int(h.Phase))
 			}
 		case frameCollectEnd:
 			break collect

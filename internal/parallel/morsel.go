@@ -210,7 +210,9 @@ func (p *partitioner) finish(ctx context.Context, err error, net *NetworkStats) 
 
 // runProducer is one worker's producing half: pull morsels (or fallback
 // batches) until the source is dry, partitioning every tuple through the
-// write-combining buffers.
+// write-combining buffers. A memory morsel routes straight from its backing
+// tuples, so each tuple is copied once, into its destination's buffer; a
+// table morsel's batches alias pinned pages and copy once as well.
 func runProducer(ctx context.Context, src *morselSource, p *partitioner, net *NetworkStats, morselTuples int) (err error) {
 	defer exec.RecoverPanic(&err)
 	scratch := exec.NewBatch(p.ds, morselTuples)
@@ -231,6 +233,14 @@ func runProducer(ctx context.Context, src *morselSource, p *partitioner, net *Ne
 			}
 			if err := ctx.Err(); err != nil {
 				return err
+			}
+			if ms, ok := op.(*exec.MemScan); ok {
+				for _, t := range ms.Tuples() {
+					if err := p.add(ctx, t); err != nil {
+						return err
+					}
+				}
+				continue
 			}
 			if err := exec.DrainMorsel(op, scratch, routeBatch); err != nil {
 				return err

@@ -93,6 +93,44 @@ func TestPathStatsParity(t *testing.T) {
 	}
 }
 
+// TestMemoryMorselsMatchBatchRouting checks the producers' direct route
+// out of memory morsels: a splittable memory dividend, whose morsels route
+// straight from their backing tuples, must ship exactly what the same
+// dividend ships through the fallback reader's copied batches — quotient,
+// network and per-worker statistics alike.
+func TestMemoryMorselsMatchBatchRouting(t *testing.T) {
+	inst := testInstance(t, 33)
+	for _, strategy := range []division.PartitionStrategy{
+		division.QuotientPartitioning, division.DivisorPartitioning,
+	} {
+		for _, bv := range []bool{false, true} {
+			for _, workers := range []int{1, 3} {
+				cfg := Config{Workers: workers, Strategy: strategy, BitVectorFilter: bv,
+					Path: PathMorsel, MorselTuples: 48, BatchSize: 16}
+				want, err := Divide(opaqueSpec(inst), cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				got, err := Divide(instanceSpec(inst), cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				checkAgainstReference(t, inst, got)
+				if got.Network != want.Network {
+					t.Errorf("%v bv=%t workers=%d: memory morsels ship %+v, batches %+v",
+						strategy, bv, workers, got.Network, want.Network)
+				}
+				for i := range want.Workers {
+					if got.Workers[i] != want.Workers[i] {
+						t.Errorf("%v bv=%t workers=%d: worker %d stats %+v, batches %+v",
+							strategy, bv, workers, i, got.Workers[i], want.Workers[i])
+					}
+				}
+			}
+		}
+	}
+}
+
 // duplicateHeavyInstance builds a dividend where every tuple occurs several
 // times and candidates overlap across morsels — maximal contention on the
 // shared table's CAS chains and atomic bits. Run with -race.

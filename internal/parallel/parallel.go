@@ -309,7 +309,7 @@ func collectDistinctDivisor(ctx context.Context, sp division.Spec) ([]tuple.Tupl
 	var out []tuple.Tuple
 	err := exec.ForEach(exec.NewContextScan(ctx, sp.Divisor), func(t tuple.Tuple) error {
 		if e, created := tab.GetOrInsert(t); created {
-			out = append(out, e.Tuple)
+			out = append(out, tab.Key(e))
 		}
 		return nil
 	})
@@ -369,7 +369,7 @@ func (w *worker) run(ctx context.Context, sp division.Spec, hbs float64) (err er
 	var divisorCount int64
 	for _, d := range w.divisor {
 		if e, created := divisorTable.GetOrInsert(d); created {
-			e.Num = divisorCount
+			divisorTable.SetNum(e, divisorCount)
 			divisorCount++
 		}
 	}
@@ -400,9 +400,9 @@ receive:
 	if divisorCount == 0 {
 		return nil
 	}
-	return quotientTable.Iterate(func(e *hashtab.Element) error {
-		if e.Bits.AllSet() {
-			w.out = append(w.out, e.Tuple)
+	return quotientTable.Iterate(func(e int) error {
+		if quotientTable.AllSet(e) {
+			w.out = append(w.out, quotientTable.Key(e))
 			w.stats.QuotientTuples++
 		}
 		return nil
@@ -589,21 +589,19 @@ func divideDivisorPartitioned(ctx context.Context, sp division.Spec, cfg Config)
 	qs := sp.QuotientSchema()
 	qWidth := int64(qs.Width())
 	collection := hashtab.NewForExpected(qs, 256, cfg.HBS)
+	collection.SetBitMaps(len(active))
 	for i, w := range workers {
 		res.Workers[i] = w.stats
 		res.Network.TuplesShipped += int64(len(w.out))
 		res.Network.BytesShipped += int64(len(w.out)) * qWidth
 		for _, q := range w.out {
-			e, created := collection.GetOrInsert(q)
-			if created {
-				e.Bits = bitmap.New(len(active))
-			}
-			e.Bits.Set(phaseOf[i])
+			e, _ := collection.GetOrInsert(q)
+			collection.SetBit(e, phaseOf[i])
 		}
 	}
-	err = collection.Iterate(func(e *hashtab.Element) error {
-		if e.Bits.AllSet() {
-			res.Quotient = append(res.Quotient, e.Tuple)
+	err = collection.Iterate(func(e int) error {
+		if collection.AllSet(e) {
+			res.Quotient = append(res.Quotient, collection.Key(e))
 		}
 		return nil
 	})

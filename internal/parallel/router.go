@@ -26,6 +26,7 @@ type Router struct {
 	routeHash func(tuple.Tuple) uint64 // nil: the destination is the divisor hash
 	bv        *bitmap.Bitmap
 	k         uint64
+	pow2      bool // k is a power of two: hash mod k is a mask, not a division
 }
 
 // NewRouter compiles the routing of dividend schema ds over k destinations.
@@ -33,7 +34,7 @@ type Router struct {
 // when non-nil, is the bit-vector filter probed at divisor hash mod its
 // length.
 func NewRouter(ds *tuple.Schema, divisorCols, routeCols []int, bv *bitmap.Bitmap, k int) *Router {
-	r := &Router{bv: bv, k: uint64(k)}
+	r := &Router{bv: bv, k: uint64(k), pow2: k > 0 && k&(k-1) == 0}
 	if bv != nil || len(routeCols) == 0 {
 		r.divHash = ds.HashFunc(divisorCols)
 	}
@@ -54,6 +55,9 @@ func (r *Router) Route(t tuple.Tuple) int {
 	}
 	if r.routeHash != nil {
 		h = r.routeHash(t)
+	}
+	if r.pow2 {
+		return int(h & (r.k - 1))
 	}
 	return int(h % r.k)
 }

@@ -10,7 +10,11 @@
 // FlushAll must make the page dirty again, and durable heap files depend on
 // that. File.Load and LoadFunc own their tail page for the whole load and
 // mark it dirty once per page, after the page's last record and before the
-// unfix, which leaves it just as dirty.
+// unfix, which leaves it just as dirty. Spill files (NewSpillFile) are
+// scratch space that is never durable, so the per-record contract does not
+// apply to them: recursive partitioning stages their records and writes
+// each page's share with one Appender.AppendRecords, one dirty mark per
+// call.
 package storage
 
 import (
@@ -149,6 +153,27 @@ func (a *Appender) Append(t tuple.Tuple) (RID, error) {
 	a.handle.MarkDirty()
 	f.numRecs++
 	return RID{Page: a.page, Slot: n}, nil
+}
+
+// AppendRecords appends the records stored back to back in data, filling
+// pages like LoadFunc under the appender's own tail page — the
+// page-granular staging spill files use (see the package comment).
+func (a *Appender) AppendRecords(data []byte) error {
+	width := a.f.schema.Width()
+	if len(data)%width != 0 {
+		return fmt.Errorf("storage: %d bytes are not whole %d-byte records", len(data), width)
+	}
+	return a.appendFunc(len(data)/width, func(i int) tuple.Tuple { return data[i*width : (i+1)*width] })
+}
+
+// Room reports how many more records fit the tail page the appender holds
+// fixed; 0 when it holds none, since the next append then fixes or
+// allocates one.
+func (a *Appender) Room() int {
+	if a.handle == nil {
+		return 0
+	}
+	return a.f.perPage - pageCount(a.handle.Bytes())
 }
 
 func (a *Appender) openTail() error {
@@ -543,21 +568,30 @@ func (f *File) Load(tuples []tuple.Tuple) error {
 // before the unfix, instead of once per record.
 func (f *File) LoadFunc(n int, rec func(i int) tuple.Tuple) error {
 	ap := f.NewAppender()
+	if err := ap.appendFunc(n, rec); err != nil {
+		ap.Close()
+		return err
+	}
+	return ap.Close()
+}
+
+// appendFunc is LoadFunc's page-filling loop over the appender's tail page.
+func (a *Appender) appendFunc(n int, rec func(i int) tuple.Tuple) error {
+	f := a.f
 	width := f.schema.Width()
 	for i := 0; i < n; {
-		if ap.handle == nil {
-			if err := ap.openTail(); err != nil {
+		if a.handle == nil {
+			if err := a.openTail(); err != nil {
 				return err
 			}
 		}
-		data := ap.handle.Bytes()
+		data := a.handle.Bytes()
 		c := pageCount(data)
 		if c >= f.perPage {
-			if err := ap.rotate(); err != nil {
-				ap.Close()
+			if err := a.rotate(); err != nil {
 				return err
 			}
-			data, c = ap.handle.Bytes(), 0
+			data, c = a.handle.Bytes(), 0
 		}
 		var err error
 		start := c
@@ -572,13 +606,12 @@ func (f *File) LoadFunc(n int, rec func(i int) tuple.Tuple) error {
 		}
 		setPageCount(data, c)
 		f.numRecs += c - start
-		ap.handle.MarkDirty()
+		a.handle.MarkDirty()
 		if err != nil {
-			ap.Close()
 			return err
 		}
 	}
-	return ap.Close()
+	return nil
 }
 
 // ReadAll returns copies of every record, for tests and small relations.

@@ -852,3 +852,69 @@ func TestScanReadAhead(t *testing.T) {
 		t.Errorf("%d frames still fixed after read-ahead scans", fixed)
 	}
 }
+
+// TestAppendRecordsMatchesAppend interleaves appends to two files on one
+// small pool, once record by record and once staged the way recursive
+// partitioning stages spills: records wait until the tail page (Room) is
+// full and go out with the next one in one AppendRecords. Page allocation
+// order, pool and device statistics and the records must all match.
+func TestAppendRecordsMatchesAppend(t *testing.T) {
+	schema := tuple.NewSchema(tuple.Int64Field("a"), tuple.Int64Field("b"))
+	run := func(staged bool) ([][]disk.PageID, buffer.Stats, disk.Stats, [][]tuple.Tuple) {
+		dev := disk.NewDevice("t", 68) // header 4 + 4 records of 16 bytes
+		pool := buffer.New(3 * 68)
+		files := []*File{NewFile(pool, dev, schema, "a"), NewFile(pool, dev, schema, "b")}
+		aps := []*Appender{files[0].NewAppender(), files[1].NewAppender()}
+		stage := make([][]byte, 2)
+		room := make([]int, 2)
+		for i := 0; i < 57; i++ {
+			f := (i * i) % 3 % 2
+			tp := schema.MustMake(i, f)
+			if !staged {
+				if _, err := aps[f].Append(tp); err != nil {
+					t.Fatal(err)
+				}
+				continue
+			}
+			stage[f] = append(stage[f], tp...)
+			if len(stage[f]) <= room[f]*schema.Width() {
+				continue
+			}
+			if err := aps[f].AppendRecords(stage[f]); err != nil {
+				t.Fatal(err)
+			}
+			stage[f], room[f] = stage[f][:0], aps[f].Room()
+		}
+		var pages [][]disk.PageID
+		var recs [][]tuple.Tuple
+		for f, ap := range aps {
+			if err := ap.AppendRecords(stage[f]); err != nil {
+				t.Fatal(err)
+			}
+			if err := ap.Close(); err != nil {
+				t.Fatal(err)
+			}
+			pages = append(pages, files[f].pages)
+		}
+		ps, ds := pool.Stats(), dev.Stats()
+		for _, file := range files {
+			out, err := file.ReadAll()
+			if err != nil {
+				t.Fatal(err)
+			}
+			recs = append(recs, out)
+		}
+		return pages, ps, ds, recs
+	}
+	pages, ps, ds, recs := run(true)
+	wantPages, wantPS, wantDS, wantRecs := run(false)
+	if fmt.Sprint(pages) != fmt.Sprint(wantPages) {
+		t.Errorf("pages %v, per-record appends %v", pages, wantPages)
+	}
+	if ps != wantPS || ds != wantDS {
+		t.Errorf("pool %+v device %+v, per-record appends %+v %+v", ps, ds, wantPS, wantDS)
+	}
+	if fmt.Sprint(recs) != fmt.Sprint(wantRecs) {
+		t.Error("records differ from per-record appends")
+	}
+}
