@@ -280,8 +280,9 @@ func BenchmarkHashLoad(b *testing.B) {
 	}
 }
 
-// BenchmarkPartitioning compares the two §3.4 overflow strategies at the
-// same cluster count.
+// BenchmarkPartitioning compares the two §3.4 overflow strategies of
+// recursive hash-division at one budget, below both the divisor table's
+// share and the quotient table, with each step's fan-out capped at 4.
 func BenchmarkPartitioning(b *testing.B) {
 	inst, err := workload.Generate(workload.PaperCase(100, 400, 1))
 	if err != nil {
@@ -296,13 +297,13 @@ func BenchmarkPartitioning(b *testing.B) {
 					Pool:    buffer.New(1 << 20),
 					TempDev: disk.NewDevice("temp", disk.PaperRunPageSize),
 				}
-				op := division.NewPartitionedHashDivision(benchSpec(b, inst), env, strat, 4, division.HashDivisionOptions{})
-				n, err := exec.Drain(op)
+				qts, _, err := division.DivideRecursive(benchSpec(b, inst), env, strat,
+					division.HashDivisionOptions{MemoryBudget: 8 << 10}, division.RecursiveOptions{MaxFanOut: 4})
 				if err != nil {
 					b.Fatal(err)
 				}
-				if n != 400 {
-					b.Fatalf("quotient = %d", n)
+				if len(qts) != 400 {
+					b.Fatalf("quotient = %d", len(qts))
 				}
 			}
 		})

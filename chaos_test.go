@@ -184,13 +184,17 @@ func TestChaosSuite(t *testing.T) {
 					checkSpill(alg.String())
 				}
 
-				// Partitioned hash-division (spill files under fault injection).
-				got, _, _, err := division.DivideAdaptive(storageSpec(), env, 24*1024, 64)
-				check(t, "adaptive", got, err)
+				// Divisor-partitioned recursive division (spill files under
+				// fault injection).
+				got, _, err := division.DivideRecursive(storageSpec(), env,
+					division.DivisorPartitioning,
+					division.HashDivisionOptions{MemoryBudget: 24 * 1024},
+					division.RecursiveOptions{})
+				check(t, "divisor-recursive", got, err)
 				if n := fixedFrames(); n != 0 {
-					t.Fatalf("adaptive left %d frames fixed", n)
+					t.Fatalf("divisor-recursive left %d frames fixed", n)
 				}
-				checkSpill("adaptive")
+				checkSpill("divisor-recursive")
 
 				// Recursive out-of-core division at a budget tight enough to
 				// force spilling: the full spill-file lifecycle (create,

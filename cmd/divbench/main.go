@@ -8,7 +8,7 @@
 //	divbench table3                  # Table 3: experimental cost parameters
 //	divbench table4 [flags]          # Table 4: measured grid
 //	divbench sweep  [flags]          # §4.6 dilution speculation
-//	divbench overflow [flags]        # §3.4 hash table overflow escalation
+//	divbench overflow [flags]        # §3.4 hash table overflow, recursive partitioning
 //	divbench parallel [flags]        # §6 multi-processor scaling
 //	divbench distributed [flags]     # §6 shared-nothing division over real transport
 //	divbench spill [flags]           # out-of-core memory-pressure sweep
@@ -150,7 +150,7 @@ commands:
   sweep     dilution sweep: hash-division when R != QxS
   duplicates duplicate-handling sweep: preprocessing costs vs hash-division
   crossover analytic cost-vs-|R| series and overflow cost model
-  overflow  hash table overflow / partition escalation
+  overflow  hash table overflow / recursive partitioning
   parallel  multi-processor scaling (-workers, -reps, -json, -check)
   distributed shared-nothing division over real TCP transport with bit-vector
             wire filtering (-sizes, -workers, -zipf, -noise, -forked, -json, -check)
@@ -550,12 +550,14 @@ func runOverflow(args []string) error {
 	}
 	fmt.Printf("Hash table overflow: |S|=%d, |Q|=%d, |R|=%d, budget=%d KB\n",
 		*s, *candidates, len(inst.Dividend), *budgetKB)
-	qts, k, err := division.DivideWithBudget(sp, env, *budgetKB*1024, 0)
+	qts, st, err := division.DivideRecursive(sp, env, division.QuotientPartitioning,
+		division.HashDivisionOptions{MemoryBudget: *budgetKB * 1024}, division.RecursiveOptions{})
 	if err != nil {
 		return err
 	}
 	fmt.Printf("quotient tuples: %d (expected %d)\n", len(qts), len(inst.QuotientIDs))
-	fmt.Printf("partitions needed: %d (quotient partitioning, first cluster in memory per §3.4)\n", k)
+	fmt.Printf("recursive quotient partitioning (§3.4): depth %d, %d cells (%d memory-resident), %d partitions spilled, %d spill bytes\n",
+		st.MaxDepth, st.Cells, st.MemResidentCells, st.SpilledPartitions, st.SpillBytes)
 	return nil
 }
 

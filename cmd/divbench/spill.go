@@ -11,9 +11,7 @@ package main
 //     re-partitioned recursively (fresh hash salt per depth) and child
 //     partitions stage through buffer-pool-backed spill files;
 //   - at 1% the recursion is several levels deep, yet the runtime should
-//     grow by a bounded constant factor per budget halving — the smooth
-//     degradation the restart-on-overflow loop (also measured, as the
-//     baseline) cannot deliver.
+//     grow by a bounded constant factor per budget halving.
 //
 // Every point verifies the quotient exactly against the generator's ground
 // truth, so the sweep is a correctness harness as much as a benchmark.
@@ -54,12 +52,6 @@ type spillPoint struct {
 	MemResidentCells int   `json:"mem_resident_cells"`
 	SpilledParts     int   `json:"spilled_partitions"`
 	SpillBytes       int64 `json:"spill_bytes"`
-
-	// The restart-on-overflow baseline at the same budget. RestartOK is
-	// false when the legacy loop could not meet the budget at all.
-	RestartNs int64 `json:"restart_ns"`
-	RestartK  int   `json:"restart_k"`
-	RestartOK bool  `json:"restart_ok"`
 }
 
 // spillCheckMaxStepRatio bounds the runtime growth per sweep step (the
@@ -147,8 +139,8 @@ func runSpill(args []string) error {
 
 	fmt.Printf("Memory-pressure sweep (%s partitioning): |S|=%d, candidates=%d, |R|=%d, input=%d bytes\n",
 		*strategyFlag, *s, *q, len(inst.Dividend), inputBytes)
-	fmt.Printf("%5s %10s %10s %6s %5s %6s %6s %10s %10s %10s\n",
-		"pct", "budget", "elapsed", "depth", "cells", "spill", "resid", "spill B", "restart", "k")
+	fmt.Printf("%5s %10s %10s %8s %6s %5s %6s %6s %10s\n",
+		"pct", "budget", "elapsed", "attempts", "depth", "cells", "spill", "resid", "spill B")
 
 	points := make([]spillPoint, len(budgets))
 	for i, pct := range budgets {
@@ -194,40 +186,10 @@ func runSpill(args []string) error {
 		}
 	}
 
-	for i := range points {
-		p := &points[i]
-		// The restart-on-overflow baseline: rerun the whole division with
-		// k = 1, 2, 4, … quotient partitions until the tables fit. At tight
-		// budgets it may fail outright — that is part of the result.
-		for r := 0; r < *reps; r++ {
-			start := time.Now()
-			qts, k, err := division.DivideWithBudget(spec(), env,
-				p.BudgetBytes, 0)
-			ns := time.Since(start).Nanoseconds()
-			if err != nil {
-				p.RestartOK = false
-				p.RestartNs = 0
-				p.RestartK = k
-				break
-			}
-			if err := verifyQuotient(spec().QuotientSchema(), qts, inst.QuotientIDs); err != nil {
-				return fmt.Errorf("spill: restart baseline at %d%%: %w", p.Pct, err)
-			}
-			p.RestartOK = true
-			p.RestartK = k
-			if r == 0 || ns < p.RestartNs {
-				p.RestartNs = ns
-			}
-		}
-
-		restart := "failed"
-		if p.RestartOK {
-			restart = time.Duration(p.RestartNs).Round(time.Microsecond).String()
-		}
-		fmt.Printf("%4d%% %10d %10s %6d %5d %6d %6d %10d %10s %10d\n",
-			p.Pct, p.BudgetBytes, time.Duration(p.Ns).Round(time.Microsecond),
-			p.MaxDepth, p.Cells, p.SpilledParts, p.MemResidentCells, p.SpillBytes,
-			restart, p.RestartK)
+	for _, p := range points {
+		fmt.Printf("%4d%% %10d %10s %8d %6d %5d %6d %6d %10d\n",
+			p.Pct, p.BudgetBytes, time.Duration(p.Ns).Round(time.Microsecond), p.Attempts,
+			p.MaxDepth, p.Cells, p.SpilledParts, p.MemResidentCells, p.SpillBytes)
 	}
 
 	if *jsonOut {

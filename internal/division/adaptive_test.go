@@ -4,21 +4,13 @@ import (
 	"testing"
 )
 
+// adaptiveCheck divides under budget with divisor partitioning, which
+// partitions whichever side overflowed, and returns the grid the recursion
+// built: divisor leaves × the most quotient cells within any of them.
 func adaptiveCheck(t *testing.T, dividend [][2]int64, divisor []int64, budget int) (kd, kq int) {
 	t.Helper()
-	ref, err := Reference(makeSpec(dividend, divisor))
-	if err != nil {
-		t.Fatal(err)
-	}
-	qts, kd, kq, err := DivideAdaptive(makeSpec(dividend, divisor), testEnv(), budget, 64)
-	if err != nil {
-		t.Fatal(err)
-	}
-	qs := makeSpec(dividend, divisor).QuotientSchema()
-	if !EqualTupleSets(qs, qts, ref) {
-		t.Fatalf("adaptive quotient wrong: %d vs %d tuples", len(qts), len(ref))
-	}
-	return kd, kq
+	st := recursiveCheck(t, dividend, divisor, DivisorPartitioning, budget, 0)
+	return st.DivisorLeaves, st.MaxQuotientCells
 }
 
 func TestAdaptiveNoBudgetStaysUnpartitioned(t *testing.T) {
@@ -60,11 +52,10 @@ func TestAdaptiveGrowsDivisorSide(t *testing.T) {
 			dividend = append(dividend, [2]int64{int64(q), c})
 		}
 	}
-	kd, kq := adaptiveCheck(t, dividend, divisor, 64*1024)
+	kd, _ := adaptiveCheck(t, dividend, divisor, 64*1024)
 	if kd < 2 {
 		t.Errorf("kd = %d, want escalation (divisor of 3000 tuples)", kd)
 	}
-	_ = kq
 }
 
 func TestAdaptiveGrowsBothSides(t *testing.T) {

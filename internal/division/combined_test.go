@@ -1,12 +1,18 @@
 package division
 
 import (
+	"errors"
 	"math/rand"
 	"testing"
 	"testing/quick"
 
 	"repro/internal/exec"
 )
+
+// These tests cover §6's fourth question, both tables too large: recursive
+// divisor partitioning clusters the divisor until each cluster's table fits
+// and partitions each cluster's dividend on the quotient attributes until
+// each cell fits, a kd×kq grid sized by the overflow instead of by hand.
 
 func TestCombinedPartitioningMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(55))
@@ -23,49 +29,46 @@ func TestCombinedPartitioningMatchesReference(t *testing.T) {
 		}
 		dividend = append(dividend, [2]int64{int64(q), 777})
 	}
-	ref, err := Reference(makeSpec(dividend, divisor))
-	if err != nil {
-		t.Fatal(err)
-	}
-	qs := makeSpec(dividend, divisor).QuotientSchema()
-
-	for _, grid := range [][2]int{{1, 1}, {1, 4}, {4, 1}, {3, 3}, {5, 2}} {
-		op := NewCombinedPartitionedHashDivision(
-			makeSpec(dividend, divisor), testEnv(), grid[0], grid[1], HashDivisionOptions{})
-		got, err := exec.Collect(op)
-		if err != nil {
-			t.Fatalf("grid %v: %v", grid, err)
-		}
-		if !EqualTupleSets(qs, got, ref) {
-			t.Errorf("grid %v: got %d tuples, want %d", grid, len(got), len(ref))
+	for _, budget := range []int{0, 1 << 10, 2 << 10, 4 << 10} {
+		for _, fanOut := range []int{2, 3, 5} {
+			recursiveCheck(t, dividend, divisor, DivisorPartitioning, budget, fanOut)
 		}
 	}
 }
 
 func TestCombinedPartitioningEmptyInputs(t *testing.T) {
-	op := NewCombinedPartitionedHashDivision(makeSpec(nil, nil), testEnv(), 2, 2, HashDivisionOptions{})
-	got, err := exec.Collect(op)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != 0 {
-		t.Errorf("empty inputs gave %v", got)
+	for _, strat := range []PartitionStrategy{QuotientPartitioning, DivisorPartitioning} {
+		got, _, err := DivideRecursive(makeSpec(nil, nil), testEnv(), strat,
+			HashDivisionOptions{MemoryBudget: 1 << 10}, RecursiveOptions{MaxFanOut: 2})
+		if err != nil {
+			t.Fatalf("%v: %v", strat, err)
+		}
+		if len(got) != 0 {
+			t.Errorf("%v: empty inputs gave %v", strat, got)
+		}
 	}
 }
 
+// TestCombinedPartitioningNeedsTempDev: a budget that forces spilling fails
+// with the typed budget error when the environment has nowhere to spill.
 func TestCombinedPartitioningNeedsTempDev(t *testing.T) {
-	sp := makeSpec([][2]int64{{1, 101}}, []int64{101})
-	op := NewCombinedPartitionedHashDivision(sp, Env{}, 2, 2, HashDivisionOptions{})
-	if err := op.Open(); err == nil {
-		op.Close()
-		t.Fatal("expected error without temp device")
+	var dividend [][2]int64
+	divisor := []int64{101, 102}
+	for q := 0; q < 200; q++ {
+		for _, c := range divisor {
+			dividend = append(dividend, [2]int64{int64(q), c})
+		}
+	}
+	_, _, err := DivideRecursive(makeSpec(dividend, divisor), Env{}, DivisorPartitioning,
+		HashDivisionOptions{MemoryBudget: 256}, RecursiveOptions{MaxFanOut: 2})
+	if !errors.Is(err, ErrMemoryBudget) {
+		t.Fatalf("want ErrMemoryBudget without a temp device, got %v", err)
 	}
 }
 
 // TestCombinedBoundsTableMemory demonstrates the point of the grid: with a
-// per-phase budget too small for either single strategy at k clusters, the
-// combined grid still fits because each cell sees ~1/kd of the divisor and
-// ~1/kq of the quotient candidates.
+// budget too small for one full divisor table plus one full quotient table,
+// the recursion splits both sides until every cell fits.
 func TestCombinedBoundsTableMemory(t *testing.T) {
 	var dividend [][2]int64
 	divisor := make([]int64, 200)
@@ -77,42 +80,33 @@ func TestCombinedBoundsTableMemory(t *testing.T) {
 			dividend = append(dividend, [2]int64{int64(q), c})
 		}
 	}
-	// Budget chosen so one full divisor table (200 entries) plus one full
-	// quotient table (300 candidates with 200-bit maps) cannot fit, but a
-	// 4×4 grid cell (≈50 divisor, ≈75 candidates) can.
 	const budget = 16 * 1024
 	plain := NewHashDivision(makeSpec(dividend, divisor), Env{}, HashDivisionOptions{MemoryBudget: budget})
 	if _, err := exec.Collect(plain); err == nil {
 		t.Fatal("plain hash-division should exceed the budget")
 	}
-	combined := NewCombinedPartitionedHashDivision(
-		makeSpec(dividend, divisor), testEnv(), 4, 4, HashDivisionOptions{MemoryBudget: budget})
-	got, err := exec.Collect(combined)
-	if err != nil {
-		t.Fatalf("combined grid should fit the budget: %v", err)
+	st := recursiveCheck(t, dividend, divisor, DivisorPartitioning, budget, 4)
+	if st.DivisorLeaves < 2 || st.MaxQuotientCells < 2 {
+		t.Errorf("grid = %d divisor leaves × %d quotient cells, want both split", st.DivisorLeaves, st.MaxQuotientCells)
 	}
-	if len(got) != 300 {
-		t.Errorf("quotient = %d, want 300", len(got))
+	if st.Leaves.PeakTableBytes > budget {
+		t.Errorf("largest cell peaked at %d bytes, budget %d", st.Leaves.PeakTableBytes, budget)
 	}
 }
 
-// Property: any grid shape equals the reference.
+// Property: any budget from 512 bytes up and any fan-out cap give the
+// reference quotient.
 func TestQuickCombinedEquivalence(t *testing.T) {
-	f := func(raw []byte, nDivisorRaw, kdRaw, kqRaw uint8) bool {
+	f := func(raw []byte, nDivisorRaw, budgetRaw, fanRaw uint8) bool {
 		dividend, divisor := quickInstance(raw, nDivisorRaw)
-		kd := int(kdRaw%4) + 1
-		kq := int(kqRaw%4) + 1
+		budget := 512 + int(budgetRaw)*16
 		ref, err := Reference(makeSpec(dividend, divisor))
 		if err != nil {
 			return false
 		}
-		op := NewCombinedPartitionedHashDivision(
-			makeSpec(dividend, divisor), testEnv(), kd, kq, HashDivisionOptions{})
-		got, err := exec.Collect(op)
-		if err != nil {
-			return false
-		}
-		return EqualTupleSets(makeSpec(dividend, divisor).QuotientSchema(), got, ref)
+		got, _, err := DivideRecursive(makeSpec(dividend, divisor), testEnv(), DivisorPartitioning,
+			HashDivisionOptions{MemoryBudget: budget}, RecursiveOptions{MaxFanOut: int(fanRaw%4) + 2})
+		return err == nil && EqualTupleSets(makeSpec(dividend, divisor).QuotientSchema(), got, ref)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Error(err)

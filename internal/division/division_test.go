@@ -422,6 +422,9 @@ func TestCountersOnlyVariant(t *testing.T) {
 	}
 }
 
+// TestPartitionedEqualsUnpartitioned: both §3.4 strategies, at budgets that
+// force partitioning and at several fan-out caps, give the unpartitioned
+// quotient.
 func TestPartitionedEqualsUnpartitioned(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
 	var dividend [][2]int64
@@ -437,23 +440,12 @@ func TestPartitionedEqualsUnpartitioned(t *testing.T) {
 		}
 		dividend = append(dividend, [2]int64{int64(q), 888})
 	}
-	ref, err := Reference(makeSpec(dividend, divisor))
-	if err != nil {
-		t.Fatal(err)
-	}
-	qs := makeSpec(dividend, divisor).QuotientSchema()
-
 	for _, strategy := range []PartitionStrategy{QuotientPartitioning, DivisorPartitioning} {
-		for _, k := range []int{1, 2, 3, 7} {
-			sp := makeSpec(dividend, divisor)
-			op := NewPartitionedHashDivision(sp, testEnv(), strategy, k, HashDivisionOptions{})
-			got, err := exec.Collect(op)
-			if err != nil {
-				t.Fatalf("%v k=%d: %v", strategy, k, err)
-			}
-			if !EqualTupleSets(qs, got, ref) {
-				t.Errorf("%v k=%d: got %v, want %v", strategy, k,
-					quotientIDs(t, qs, got), quotientIDs(t, qs, ref))
+		for _, budget := range []int{1 << 10, 2 << 10} {
+			for _, fanOut := range []int{2, 3, 7} {
+				if st := recursiveCheck(t, dividend, divisor, strategy, budget, fanOut); st.Repartitions == 0 {
+					t.Errorf("%v budget %d fan-out %d: nothing partitioned (stats %+v)", strategy, budget, fanOut, st)
+				}
 			}
 		}
 	}
@@ -461,9 +453,8 @@ func TestPartitionedEqualsUnpartitioned(t *testing.T) {
 
 func TestPartitionedEmptyDivisor(t *testing.T) {
 	for _, strategy := range []PartitionStrategy{QuotientPartitioning, DivisorPartitioning} {
-		sp := makeSpec([][2]int64{{1, 101}}, nil)
-		op := NewPartitionedHashDivision(sp, testEnv(), strategy, 4, HashDivisionOptions{})
-		got, err := exec.Collect(op)
+		got, _, err := DivideRecursive(makeSpec([][2]int64{{1, 101}}, nil), testEnv(), strategy,
+			HashDivisionOptions{MemoryBudget: 1 << 10}, RecursiveOptions{MaxFanOut: 4})
 		if err != nil {
 			t.Fatalf("%v: %v", strategy, err)
 		}
@@ -490,6 +481,8 @@ func TestMemoryBudgetTriggersError(t *testing.T) {
 	}
 }
 
+// TestDivideWithBudgetEscalates: a budget too small for one in-memory
+// attempt but large enough per cell is met by partitioning, not refused.
 func TestDivideWithBudgetEscalates(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	var dividend [][2]int64
@@ -501,21 +494,9 @@ func TestDivideWithBudgetEscalates(t *testing.T) {
 			}
 		}
 	}
-	ref, err := Reference(makeSpec(dividend, divisor))
-	if err != nil {
-		t.Fatal(err)
-	}
-	// A budget too small for one phase but large enough when split.
-	qts, k, err := DivideWithBudget(makeSpec(dividend, divisor), testEnv(), 16*1024, 64)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if k < 2 {
-		t.Errorf("expected escalation beyond k=1, got k=%d", k)
-	}
-	qs := makeSpec(dividend, divisor).QuotientSchema()
-	if !EqualTupleSets(qs, qts, ref) {
-		t.Error("budgeted division returned a wrong quotient")
+	st := recursiveCheck(t, dividend, divisor, QuotientPartitioning, 16*1024, 0)
+	if st.Overflowed == 0 || st.Repartitions == 0 {
+		t.Errorf("expected the root attempt to overflow and re-partition: %+v", st)
 	}
 }
 

@@ -6,7 +6,6 @@ import (
 
 	"repro/internal/buffer"
 	"repro/internal/disk"
-	"repro/internal/exec"
 	"repro/internal/faultinject"
 	"repro/internal/tuple"
 )
@@ -61,37 +60,33 @@ func TestFaultPropagation(t *testing.T) {
 	}
 }
 
-// TestFaultInPartitionedDivision covers the partitioning paths, which manage
-// spill files that must be cleaned up on failure.
+// TestFaultInPartitionedDivision covers the recursive partitioning paths,
+// which manage spill files that must be cleaned up on failure. The budget is
+// below the divisor table, so divisor partitioning partitions before any
+// attempt and quotient partitioning abandons its root attempt within the
+// first tuples; either way the partitioning pass has spilled when the
+// failure strikes.
 func TestFaultInPartitionedDivision(t *testing.T) {
 	for _, strategy := range []PartitionStrategy{QuotientPartitioning, DivisorPartitioning} {
 		t.Run(strategy.String(), func(t *testing.T) {
-			pool := buffer.New(1 << 20)
-			tempDev := disk.NewDevice("temp", disk.PaperRunPageSize)
-			env := Env{Pool: pool, TempDev: tempDev}
-			sp := faultSpec(30, -1)
-			op := NewPartitionedHashDivision(sp, env, strategy, 4, HashDivisionOptions{})
-			_, err := exec.Collect(op)
-			if !errors.Is(err, faultinject.ErrInjected) {
-				t.Fatalf("error not propagated: %v", err)
-			}
-			if pool.FixedFrames() != 0 {
-				t.Errorf("leaked %d fixed frames", pool.FixedFrames())
-			}
-			if got := tempDev.NumPages(); got != 0 {
-				t.Errorf("leaked %d spill pages after failure", got)
-			}
+			faultInRecursive(t, strategy)
 		})
 	}
 }
 
+// TestFaultInCombinedDivision fails the dividend while divisor partitioning
+// splits both sides.
 func TestFaultInCombinedDivision(t *testing.T) {
+	faultInRecursive(t, DivisorPartitioning)
+}
+
+func faultInRecursive(t *testing.T, strategy PartitionStrategy) {
+	t.Helper()
 	pool := buffer.New(1 << 20)
 	tempDev := disk.NewDevice("temp", disk.PaperRunPageSize)
 	env := Env{Pool: pool, TempDev: tempDev}
-	sp := faultSpec(30, -1)
-	op := NewCombinedPartitionedHashDivision(sp, env, 2, 2, HashDivisionOptions{})
-	_, err := exec.Collect(op)
+	_, _, err := DivideRecursive(faultSpec(30, -1), env, strategy,
+		HashDivisionOptions{MemoryBudget: 256}, RecursiveOptions{MaxFanOut: 2})
 	if !errors.Is(err, faultinject.ErrInjected) {
 		t.Fatalf("error not propagated: %v", err)
 	}
@@ -99,7 +94,7 @@ func TestFaultInCombinedDivision(t *testing.T) {
 		t.Errorf("leaked %d fixed frames", pool.FixedFrames())
 	}
 	if got := tempDev.NumPages(); got != 0 {
-		t.Errorf("leaked %d spill pages", got)
+		t.Errorf("leaked %d spill pages after failure", got)
 	}
 }
 

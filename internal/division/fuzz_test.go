@@ -62,33 +62,38 @@ func FuzzRecursiveDivision(f *testing.F) {
 	f.Add([]byte{0x01, 0x12, 0x21}, uint8(2), uint8(40))
 	f.Add([]byte{0x00, 0x00, 0x00}, uint8(3), uint8(255))
 	f.Fuzz(func(t *testing.T, raw []byte, nDivisorRaw, budgetRaw uint8) {
-		if len(raw) > 256 {
-			raw = raw[:256]
-		}
-		dividend, divisor := quickInstance(raw, nDivisorRaw)
-		budget := 256 + int(budgetRaw)*16
-		ref, err := Reference(makeSpec(dividend, divisor))
-		if err != nil {
-			t.Fatal(err)
-		}
-		qs := makeSpec(dividend, divisor).QuotientSchema()
-		for _, strat := range []PartitionStrategy{QuotientPartitioning, DivisorPartitioning} {
-			live := storage.LiveSpillFiles()
-			got, st, err := DivideRecursive(makeSpec(dividend, divisor), testEnv(), strat,
-				HashDivisionOptions{MemoryBudget: budget}, RecursiveOptions{})
-			if err != nil {
-				if !errors.Is(err, ErrPartitionDepth) && !errors.Is(err, ErrMemoryBudget) {
-					t.Fatalf("%v budget %d: %v", strat, budget, err)
-				}
-			} else if !EqualTupleSets(qs, got, ref) {
-				t.Fatalf("%v budget %d: got %d tuples, reference %d (stats %+v)",
-					strat, budget, len(got), len(ref), st)
-			}
-			if after := storage.LiveSpillFiles(); after != live {
-				t.Fatalf("%v budget %d: spill files leaked: %d -> %d", strat, budget, live, after)
-			}
-		}
+		fuzzRecursive(t, raw, nDivisorRaw, 256+int(budgetRaw)*16, RecursiveOptions{})
 	})
+}
+
+// fuzzRecursive divides the fuzz instance under both strategies: a typed
+// refusal is a valid outcome, a wrong quotient or a leaked spill file is not.
+func fuzzRecursive(t *testing.T, raw []byte, nDivisorRaw uint8, budget int, ropts RecursiveOptions) {
+	if len(raw) > 256 {
+		raw = raw[:256]
+	}
+	dividend, divisor := quickInstance(raw, nDivisorRaw)
+	ref, err := Reference(makeSpec(dividend, divisor))
+	if err != nil {
+		t.Fatal(err)
+	}
+	qs := makeSpec(dividend, divisor).QuotientSchema()
+	for _, strat := range []PartitionStrategy{QuotientPartitioning, DivisorPartitioning} {
+		live := storage.LiveSpillFiles()
+		got, st, err := DivideRecursive(makeSpec(dividend, divisor), testEnv(), strat,
+			HashDivisionOptions{MemoryBudget: budget}, ropts)
+		if err != nil {
+			if !errors.Is(err, ErrPartitionDepth) && !errors.Is(err, ErrMemoryBudget) {
+				t.Fatalf("%v budget %d: %v", strat, budget, err)
+			}
+		} else if !EqualTupleSets(qs, got, ref) {
+			t.Fatalf("%v budget %d: got %d tuples, reference %d (stats %+v)",
+				strat, budget, len(got), len(ref), st)
+		}
+		if after := storage.LiveSpillFiles(); after != live {
+			t.Fatalf("%v budget %d: spill files leaked: %d -> %d", strat, budget, live, after)
+		}
+	}
 }
 
 // TestFuzzSeedForcesDepth2 keeps the fuzz corpus honest: the dedicated seed
@@ -112,29 +117,13 @@ func TestFuzzSeedForcesDepth2(t *testing.T) {
 	}
 }
 
-// FuzzPartitionedDivision cross-checks the partitioned variants.
+// FuzzPartitionedDivision is FuzzRecursiveDivision with the fan-out of
+// every partitioning step capped at 2 to 5, so the recursion builds deep,
+// narrow grids.
 func FuzzPartitionedDivision(f *testing.F) {
 	f.Add([]byte{0x01, 0x12, 0x21}, uint8(2), uint8(3), uint8(2))
 	f.Add([]byte{0xaa, 0xbb}, uint8(1), uint8(1), uint8(1))
-	f.Fuzz(func(t *testing.T, raw []byte, nDivisorRaw, kdRaw, kqRaw uint8) {
-		if len(raw) > 256 {
-			raw = raw[:256]
-		}
-		dividend, divisor := quickInstance(raw, nDivisorRaw)
-		kd := int(kdRaw%4) + 1
-		kq := int(kqRaw%4) + 1
-		ref, err := Reference(makeSpec(dividend, divisor))
-		if err != nil {
-			t.Fatal(err)
-		}
-		qs := makeSpec(dividend, divisor).QuotientSchema()
-		op := NewCombinedPartitionedHashDivision(makeSpec(dividend, divisor), testEnv(), kd, kq, HashDivisionOptions{})
-		got, err := exec.Collect(op)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !EqualTupleSets(qs, got, ref) {
-			t.Fatalf("grid (%d,%d): got %d tuples, reference %d", kd, kq, len(got), len(ref))
-		}
+	f.Fuzz(func(t *testing.T, raw []byte, nDivisorRaw, fanRaw, budgetRaw uint8) {
+		fuzzRecursive(t, raw, nDivisorRaw, 256+int(budgetRaw)*16, RecursiveOptions{MaxFanOut: int(fanRaw%4) + 2})
 	})
 }

@@ -11,8 +11,8 @@ import (
 )
 
 // ErrMemoryBudget is returned when the divisor and quotient tables exceed a
-// configured memory budget; callers resolve it with quotient or divisor
-// partitioning (§3.4) via NewPartitionedHashDivision.
+// configured memory budget; RecursiveHashDivision resolves it with quotient
+// or divisor partitioning (§3.4).
 var ErrMemoryBudget = errors.New("division: hash tables exceed memory budget")
 
 // HashDivisionOptions tune the §3 algorithm.

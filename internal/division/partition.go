@@ -1,16 +1,6 @@
 package division
 
-import (
-	"errors"
-	"fmt"
-	"io"
-
-	"repro/internal/exec"
-	"repro/internal/hashtab"
-	"repro/internal/obs"
-	"repro/internal/storage"
-	"repro/internal/tuple"
-)
+import "fmt"
 
 // PartitionStrategy selects one of the two §3.4 partitioning strategies used
 // for hash table overflow (and, in §6, for multi-processor execution).
@@ -36,430 +26,4 @@ func (s PartitionStrategy) String() string {
 	default:
 		return fmt.Sprintf("PartitionStrategy(%d)", int(s))
 	}
-}
-
-// PartitionedHashDivision runs hash-division in k phases over disjoint
-// clusters, resolving hash table overflow per §3.4. Cluster 0 of the
-// dividend is kept in main memory during the partitioning pass (the hybrid
-// policy: "the first cluster is kept in main memory while the other clusters
-// are spooled to temporary files"); clusters 1..k-1 are spooled to the
-// environment's temp device.
-type PartitionedHashDivision struct {
-	sp       Spec
-	env      Env
-	strategy PartitionStrategy
-	k        int
-	hdOpts   HashDivisionOptions
-
-	qs      *tuple.Schema
-	qCols   []int
-	results []tuple.Tuple
-	pos     int
-	spilled []*storage.File
-	opened  bool
-}
-
-// NewPartitionedHashDivision divides in k phases using the given strategy.
-// k must be at least 1; k == 1 degenerates to plain hash-division. Spilling
-// needs env.Pool and env.TempDev when k > 1.
-func NewPartitionedHashDivision(sp Spec, env Env, strategy PartitionStrategy, k int, hdOpts HashDivisionOptions) *PartitionedHashDivision {
-	if k < 1 {
-		k = 1
-	}
-	return &PartitionedHashDivision{
-		sp: sp, env: env, strategy: strategy, k: k, hdOpts: hdOpts,
-		qs: sp.QuotientSchema(), qCols: sp.QuotientCols(),
-	}
-}
-
-// Schema implements Operator.
-func (p *PartitionedHashDivision) Schema() *tuple.Schema { return p.qs }
-
-// partitionDividend splits the dividend on cols into k clusters: cluster 0
-// in memory, the rest as temp files. keep, when set, drops the tuples of
-// the clusters it rejects. The cols hash is compiled once per pass.
-func (p *PartitionedHashDivision) partitionDividend(cols []int, keep func(cluster int) bool) ([]tuple.Tuple, []*storage.File, error) {
-	ds := p.sp.Dividend.Schema()
-	hash := ds.HashFunc(cols)
-	var mem []tuple.Tuple
-	files := make([]*storage.File, p.k)
-	appenders := make([]*storage.Appender, p.k)
-	for i := 1; i < p.k; i++ {
-		if p.env.Pool == nil || p.env.TempDev == nil {
-			return nil, nil, fmt.Errorf("division: partitioned division with k=%d needs Pool and TempDev", p.k)
-		}
-		files[i] = storage.NewSpillFile(p.env.Pool, p.env.TempDev, ds, fmt.Sprintf("divcluster-%d", i))
-		appenders[i] = files[i].NewAppender()
-	}
-	abort := func() {
-		for _, a := range appenders {
-			if a != nil {
-				a.Close()
-			}
-		}
-		for _, f := range files {
-			if f != nil {
-				f.Drop()
-			}
-		}
-	}
-
-	if err := p.sp.Dividend.Open(); err != nil {
-		abort()
-		return nil, nil, err
-	}
-	for {
-		t, err := p.sp.Dividend.Next()
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			p.sp.Dividend.Close()
-			abort()
-			return nil, nil, err
-		}
-		c := int(hash(t) % uint64(p.k))
-		if keep != nil && !keep(c) {
-			continue
-		}
-		if p.env.Counters != nil {
-			p.env.Counters.Hash++
-		}
-		if c == 0 {
-			mem = append(mem, t.Clone())
-			continue
-		}
-		if _, err := appenders[c].Append(t); err != nil {
-			p.sp.Dividend.Close()
-			abort()
-			return nil, nil, err
-		}
-	}
-	for _, a := range appenders {
-		if a != nil {
-			if err := a.Close(); err != nil {
-				abort()
-				return nil, nil, err
-			}
-		}
-	}
-	if err := p.sp.Dividend.Close(); err != nil {
-		abort()
-		return nil, nil, err
-	}
-	return mem, files, nil
-}
-
-// collectDivisor reads the divisor once, eliminating duplicates, and returns
-// the distinct tuples.
-func (p *PartitionedHashDivision) collectDivisor() ([]tuple.Tuple, error) {
-	return collectDistinctDivisor(p.sp, p.env)
-}
-
-// phaseEnv derives the Env for partition phase i of n: with tracing on, the
-// phase gets its own span (returned so the phase operator can be probed
-// against it — the probe makes the span's inclusive counters cover its
-// children, keeping every self non-negative) and child spans attach under it.
-func (p *PartitionedHashDivision) phaseEnv(parent *obs.Span, i, n int) (Env, *obs.Span) {
-	env := p.env
-	if parent == nil {
-		return env, nil
-	}
-	span := parent.Child(fmt.Sprintf("phase %d/%d", i+1, n), "hash-division")
-	env.ProfileSpan = span
-	return env, span
-}
-
-// clusterOperand returns the Operator for cluster i of the dividend.
-func clusterOperand(i int, mem []tuple.Tuple, files []*storage.File, schema *tuple.Schema) exec.Operator {
-	if i == 0 {
-		return exec.NewMemScan(schema, mem)
-	}
-	return exec.NewTableScan(files[i], false)
-}
-
-// Open implements Operator: it runs every phase.
-func (p *PartitionedHashDivision) Open() error {
-	if err := p.sp.Validate(); err != nil {
-		return err
-	}
-	p.results = nil
-	p.pos = 0
-	var err error
-	switch p.strategy {
-	case QuotientPartitioning:
-		err = p.runQuotientPartitioned()
-	case DivisorPartitioning:
-		err = p.runDivisorPartitioned()
-	default:
-		err = fmt.Errorf("division: unknown partition strategy %d", int(p.strategy))
-	}
-	if err != nil {
-		p.dropSpilled()
-		return err
-	}
-	p.opened = true
-	return nil
-}
-
-func (p *PartitionedHashDivision) runQuotientPartitioned() error {
-	ds := p.sp.Dividend.Schema()
-	divisor, err := p.collectDivisor()
-	if err != nil {
-		return err
-	}
-	if len(divisor) == 0 {
-		return nil // empty divisor: empty quotient
-	}
-	mem, files, err := p.partitionDividend(p.qCols, nil)
-	if err != nil {
-		return err
-	}
-	p.spilled = files
-
-	ss := p.sp.Divisor.Schema()
-	parent := p.env.ProfileParent()
-	// "all dividend clusters are divided with the entire divisor"; the
-	// quotient of the division is the concatenation of the cluster
-	// quotients.
-	for i := 0; i < p.k; i++ {
-		env, span := p.phaseEnv(parent, i, p.k)
-		phase := NewHashDivision(Spec{
-			Dividend:    clusterOperand(i, mem, files, ds),
-			Divisor:     exec.NewMemScan(ss, divisor),
-			DivisorCols: p.sp.DivisorCols,
-		}, env, p.hdOpts)
-		qts, err := exec.Collect(obs.Instrument(phase, span, p.env.Counters))
-		if err != nil {
-			return err
-		}
-		p.results = append(p.results, qts...)
-		p.env.progressf("quotient-partitioned phase %d/%d: %d quotient tuples (%d total)",
-			i+1, p.k, len(qts), len(p.results))
-	}
-	return nil
-}
-
-func (p *PartitionedHashDivision) runDivisorPartitioned() error {
-	ds := p.sp.Dividend.Schema()
-	ss := p.sp.Divisor.Schema()
-	divisor, err := p.collectDivisor()
-	if err != nil {
-		return err
-	}
-	if len(divisor) == 0 {
-		return nil
-	}
-
-	// Partition the divisor on all its attributes with the same function
-	// used for the dividend's divisor attributes.
-	clusters := make([][]tuple.Tuple, p.k)
-	for _, d := range divisor {
-		if p.env.Counters != nil {
-			p.env.Counters.Hash++
-		}
-		c := int(tuple.HashBytes(d) % uint64(p.k))
-		clusters[c] = append(clusters[c], d)
-	}
-	// Phases exist only for clusters with divisor tuples: a dividend tuple
-	// hashing to an empty divisor cluster can match nothing and is
-	// discarded during partitioning.
-	phaseOf := make([]int, p.k)
-	numPhases := 0
-	for c := range clusters {
-		if len(clusters[c]) > 0 {
-			phaseOf[c] = numPhases
-			numPhases++
-		} else {
-			phaseOf[c] = -1
-		}
-	}
-
-	mem, files, err := p.partitionDividend(p.sp.DivisorCols, func(c int) bool {
-		return phaseOf[c] >= 0
-	})
-	if err != nil {
-		return err
-	}
-	p.spilled = files
-
-	// The collection phase divides the union of the quotient clusters,
-	// tagged with phase numbers, over the set of phase numbers. As §3.4
-	// notes, the phase number replaces the divisor-table lookup, so the
-	// collection skips step 1 of hash-division.
-	collection := hashtab.NewForExpected(p.qs, p.env.expectedQuotient(), p.env.hbs())
-	collection.SetBitMaps(numPhases)
-	parent := p.env.ProfileParent()
-	for c := 0; c < p.k; c++ {
-		if phaseOf[c] < 0 {
-			continue
-		}
-		env, span := p.phaseEnv(parent, phaseOf[c], numPhases)
-		phase := NewHashDivision(Spec{
-			Dividend:    clusterOperand(c, mem, files, ds),
-			Divisor:     exec.NewMemScan(ss, clusters[c]),
-			DivisorCols: p.sp.DivisorCols,
-		}, env, p.hdOpts)
-		err := exec.ForEach(obs.Instrument(phase, span, p.env.Counters), func(q tuple.Tuple) error {
-			e, _ := collection.GetOrInsert(q)
-			if p.env.Counters != nil {
-				p.env.Counters.Bit++
-			}
-			collection.SetBit(e, phaseOf[c])
-			return nil
-		})
-		if err != nil {
-			return err
-		}
-		if p.env.Progress != nil {
-			// A candidate still on track for the quotient has a bit from
-			// every phase processed so far: PopCount equals the phase
-			// ordinal. Word-level population counts keep this cheap enough
-			// for per-phase reporting.
-			done := phaseOf[c] + 1
-			onTrack := 0
-			_ = collection.Iterate(func(e int) error {
-				if collection.PopCount(e) == done {
-					onTrack++
-				}
-				return nil
-			})
-			p.env.progressf("divisor-partitioned phase %d/%d: %d candidates, %d on track for the quotient",
-				done, numPhases, collection.Len(), onTrack)
-		}
-	}
-	err = collection.Iterate(func(e int) error {
-		if collection.AllSet(e) {
-			p.results = append(p.results, collection.Key(e))
-		}
-		return nil
-	})
-	if p.env.Counters != nil {
-		st := collection.Stats()
-		p.env.Counters.Hash += st.Hashes
-		p.env.Counters.Comp += st.Comparisons
-	}
-	return err
-}
-
-// Next implements Operator.
-func (p *PartitionedHashDivision) Next() (tuple.Tuple, error) {
-	if !p.opened {
-		return nil, errNotOpen("PartitionedHashDivision")
-	}
-	if p.pos >= len(p.results) {
-		return nil, io.EOF
-	}
-	t := p.results[p.pos]
-	p.pos++
-	return t, nil
-}
-
-func (p *PartitionedHashDivision) dropSpilled() {
-	for _, f := range p.spilled {
-		if f != nil {
-			f.Drop()
-		}
-	}
-	p.spilled = nil
-}
-
-// Close implements Operator.
-func (p *PartitionedHashDivision) Close() error {
-	p.opened = false
-	p.results = nil
-	p.dropSpilled()
-	return nil
-}
-
-// AdaptiveStats report what adaptive overflow resolution actually did — in
-// particular how much work abandoned in-memory attempts burned, which the
-// old restart loop silently threw away.
-type AdaptiveStats struct {
-	Attempts     int   // in-memory division attempts, including abandoned ones
-	Overflowed   int   // attempts abandoned on ErrMemoryBudget
-	WastedTuples int64 // dividend tuples absorbed by abandoned attempts
-	Kd, Kq       int   // effective grid: divisor leaves × max quotient cells per leaf
-	Recursive    RecursiveStats
-}
-
-// DivideAdaptiveStats resolves hash table overflow by recursive grace
-// partitioning (divisor-side first, quotient-side within each divisor leaf),
-// re-partitioning only the cells that actually overflow instead of
-// restarting the whole division with a larger grid. It returns the quotient
-// plus the resolution statistics, and publishes the attempt/waste totals on
-// obs.Default so long-running processes can watch for mis-sized budgets.
-func DivideAdaptiveStats(sp Spec, env Env, budget int, maxGrid int) ([]tuple.Tuple, AdaptiveStats, error) {
-	if maxGrid < 1 {
-		maxGrid = 64
-	}
-	if env.MemoryBudget == 0 {
-		env.MemoryBudget = budget // the grant governs sorts too, not just tables
-	}
-	op := NewRecursiveHashDivision(sp, env, DivisorPartitioning,
-		HashDivisionOptions{MemoryBudget: budget}, RecursiveOptions{MaxFanOut: maxGrid})
-	qts, err := exec.Collect(op)
-	st := op.Stats()
-	as := AdaptiveStats{
-		Attempts:     st.Attempts,
-		Overflowed:   st.Overflowed,
-		WastedTuples: st.WastedTuples,
-		Kd:           st.DivisorLeaves,
-		Kq:           st.MaxQuotientCells,
-		Recursive:    st,
-	}
-	if as.Kd < 1 {
-		as.Kd = 1
-	}
-	if as.Kq < 1 {
-		as.Kq = 1
-	}
-	obs.Default.Counter("division.adaptive.attempts").Add(int64(st.Attempts))
-	obs.Default.Counter("division.adaptive.wasted_tuples").Add(st.WastedTuples)
-	if err != nil {
-		return nil, as, err
-	}
-	return qts, as, nil
-}
-
-// DivideAdaptive is the historical entry point for adaptive overflow
-// resolution; it is now a thin compatibility shim over the recursive path
-// (DivideAdaptiveStats). The returned pair reports the effective grid: the
-// number of divisor-side leaves and the largest quotient-side leaf count
-// within any of them.
-func DivideAdaptive(sp Spec, env Env, budget int, maxGrid int) ([]tuple.Tuple, int, int, error) {
-	qts, st, err := DivideAdaptiveStats(sp, env, budget, maxGrid)
-	return qts, st.Kd, st.Kq, err
-}
-
-// DivideWithBudget runs hash-division under a hard memory budget for the two
-// hash tables, escalating the number of quotient partitions until the
-// per-phase tables fit — the overflow resolution loop a system would run
-// when a selectivity estimate proved wrong. It returns the quotient and the
-// number of partitions that succeeded.
-func DivideWithBudget(sp Spec, env Env, budget int, maxPartitions int) ([]tuple.Tuple, int, error) {
-	if maxPartitions < 1 {
-		maxPartitions = 64
-	}
-	if env.MemoryBudget == 0 {
-		env.MemoryBudget = budget // the grant governs sorts too, not just tables
-	}
-	for k := 1; k <= maxPartitions; k *= 2 {
-		var op exec.Operator
-		if k == 1 {
-			op = NewHashDivision(sp, env, HashDivisionOptions{MemoryBudget: budget})
-		} else {
-			op = NewPartitionedHashDivision(sp, env, QuotientPartitioning, k,
-				HashDivisionOptions{MemoryBudget: budget})
-		}
-		qts, err := exec.Collect(op)
-		if err == nil {
-			return qts, k, nil
-		}
-		if !errors.Is(err, ErrMemoryBudget) {
-			return nil, k, err
-		}
-	}
-	return nil, maxPartitions, fmt.Errorf("division: budget of %d bytes not met with %d partitions: %w",
-		budget, maxPartitions, ErrMemoryBudget)
 }

@@ -144,9 +144,9 @@ func checkProfiled(t *testing.T, name string, alg Algorithm, earlyEmit, batch bo
 	}
 }
 
-// TestProfilePartitionedPhases checks the span tree of a partitioned
-// division: one child span per phase, selves still non-negative, tree still
-// telescoping to the total.
+// TestProfilePartitionedPhases checks the span tree of a recursive
+// division at a budget that partitions: cell and repartition spans under
+// the root, selves still non-negative, tree still telescoping to the total.
 func TestProfilePartitionedPhases(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	dividend, divisor := randomProfileInstance(rng)
@@ -156,8 +156,8 @@ func TestProfilePartitionedPhases(t *testing.T) {
 		env.Counters = &counters
 		tr := obs.NewTracer()
 		env.Trace = tr
-		op := NewPartitionedHashDivision(makeSpec(dividend, divisor), env, strategy, 3, HashDivisionOptions{})
-		got, err := exec.Collect(op)
+		got, st, err := DivideRecursive(makeSpec(dividend, divisor), env, strategy,
+			HashDivisionOptions{MemoryBudget: 512}, RecursiveOptions{MaxFanOut: 3})
 		if err != nil {
 			t.Fatalf("%s: %v", strategy, err)
 		}
@@ -168,9 +168,11 @@ func TestProfilePartitionedPhases(t *testing.T) {
 		if qs := makeSpec(dividend, divisor).QuotientSchema(); !EqualTupleSets(qs, want, got) {
 			t.Errorf("%s: wrong quotient under tracing", strategy)
 		}
-		phases := tr.Root().Children()
-		if len(phases) == 0 {
-			t.Fatalf("%s: no phase spans recorded", strategy)
+		if st.Repartitions == 0 {
+			t.Fatalf("%s: the budget did not partition: %+v", strategy, st)
+		}
+		if len(tr.Root().Children()) < 2 {
+			t.Fatalf("%s: no repartition spans recorded", strategy)
 		}
 		prof := tr.Profile(&counters)
 		prof.Walk(func(s *obs.Span, depth int) {

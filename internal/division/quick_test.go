@@ -76,23 +76,21 @@ func TestQuickHashDivisionDuplicationInvariant(t *testing.T) {
 	}
 }
 
-// Property: both partitionings agree with plain hash-division for any k.
+// Property: both recursive partitionings agree with plain hash-division at
+// any fan-out cap, under a budget that partitions all but the smallest
+// inputs.
 func TestQuickPartitioningEquivalence(t *testing.T) {
 	f := func(raw []byte, nDivisorRaw, kRaw uint8) bool {
 		dividend, divisor := quickInstance(raw, nDivisorRaw)
-		k := int(kRaw%6) + 1
 		ref, err := Run(AlgHashDivision, makeSpec(dividend, divisor), testEnv())
 		if err != nil {
 			return false
 		}
 		qs := makeSpec(dividend, divisor).QuotientSchema()
 		for _, strat := range []PartitionStrategy{QuotientPartitioning, DivisorPartitioning} {
-			op := NewPartitionedHashDivision(makeSpec(dividend, divisor), testEnv(), strat, k, HashDivisionOptions{})
-			got, err := exec.Collect(op)
-			if err != nil {
-				return false
-			}
-			if !EqualTupleSets(qs, got, ref) {
+			got, _, err := DivideRecursive(makeSpec(dividend, divisor), testEnv(), strat,
+				HashDivisionOptions{MemoryBudget: 1 << 10}, RecursiveOptions{MaxFanOut: int(kRaw%6) + 2})
+			if err != nil || !EqualTupleSets(qs, got, ref) {
 				return false
 			}
 		}

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 
+	"repro/internal/disk"
 	"repro/internal/exec"
 	"repro/internal/hashtab"
 	"repro/internal/obs"
@@ -16,7 +17,9 @@ import (
 // cap without shrinking a cell under the memory budget — pathological skew
 // (every tuple sharing one quotient value, a budget smaller than a single
 // table entry) would otherwise loop forever. It always wraps a description
-// of the offending cell; test with errors.Is.
+// of the offending cell; test with errors.Is. A budgeted exchange worker
+// returns it too when its grant leaves the tables no bytes at all
+// (SplitGrant).
 var ErrPartitionDepth = errors.New("division: partition recursion depth cap exceeded")
 
 // DefaultMaxRecursionDepth bounds how many times one cell may be
@@ -36,6 +39,21 @@ const defaultUnknownFanOut = 8
 // estimates. It intentionally matches the 48-byte figure the adaptive
 // heuristics have always used.
 const hashElemOverhead = 48
+
+// minPoolPages is the floor, in run pages, of a grant's spill pool.
+const minPoolPages = 8
+
+// SplitGrant divides one per-query memory grant between the buffer pool that
+// stages spill I/O and the hash-table budget of recursive hash-division,
+// which also caps the plan's sort space (Env.MemoryBudget): a quarter of the
+// grant, but at least minPoolPages run pages, buffers spill I/O and the rest
+// bounds the tables. The two never sum past the grant, so a grant no larger
+// than the pool floor leaves tableBytes at zero — which callers must refuse,
+// since a zero table budget means "unbudgeted".
+func SplitGrant(grant int64) (poolBytes, tableBytes int) {
+	pool := min(max(grant/4, minPoolPages*disk.PaperRunPageSize), grant)
+	return int(pool), int(grant - pool)
+}
 
 // prefetchStagePages is how many head pages of the NEXT spilled partition
 // are staged through the read-ahead prefetcher while the current partition
@@ -77,8 +95,6 @@ type RecursiveStats struct {
 	Overflowed        int   // attempts abandoned because the tables exceeded the budget
 	WastedTuples      int64 // dividend tuples absorbed by abandoned attempts
 	SkippedAttempts   int   // doomed attempts skipped thanks to seeded statistics
-	Candidates        int64 // quotient candidates across completed cells (feed back as RecursiveOptions.SeedCandidates)
-	DividendTuples    int64 // dividend tuples across completed cells (feed back as RecursiveOptions.SeedDividend)
 	Repartitions      int   // cells that had to be re-partitioned
 	MaxDepth          int   // deepest recursion level reached (0 = nothing re-partitioned)
 	Cells             int   // leaf cells divided in memory
@@ -87,6 +103,24 @@ type RecursiveStats struct {
 	SpillBytes        int64 // bytes written to spill files (whole pages)
 	DivisorLeaves     int   // leaves of the divisor-side recursion (1 = divisor fit)
 	MaxQuotientCells  int   // largest quotient-side leaf count within any divisor leaf
+	// Leaves sums the hash-division statistics of the completed leaf cells
+	// (each reads its divisor cluster again); PeakTableBytes is the largest
+	// cell's. Leaves.Candidates and Leaves.DividendTuples feed back as
+	// RecursiveOptions.SeedCandidates and SeedDividend.
+	Leaves HashDivisionStats
+}
+
+// addLeaf folds one completed cell's statistics into Leaves.
+func (s *RecursiveStats) addLeaf(st HashDivisionStats) {
+	s.Cells++
+	l := &s.Leaves
+	l.DivisorTuples += st.DivisorTuples
+	l.DivisorDistinct += st.DivisorDistinct
+	l.DividendTuples += st.DividendTuples
+	l.DiscardedNoMatch += st.DiscardedNoMatch
+	l.Candidates += st.Candidates
+	l.QuotientTuples += st.QuotientTuples
+	l.PeakTableBytes = max(l.PeakTableBytes, st.PeakTableBytes)
 }
 
 // RecursiveHashDivision resolves hash table overflow with grace-style
@@ -502,14 +536,14 @@ func (r *RecursiveHashDivision) divideQuotientCell(c rcell, divisor []tuple.Tupl
 	// divisor count is exact, and no fitting quotient table can hold more
 	// candidates than the budget allows, so the default expectations (and
 	// their bucket arrays) would charge small cells for tables they never
-	// build.
+	// build. The root's size is unknown: presizing it for the budget's
+	// worth of candidates would charge it a bucket array a one-shot
+	// division of the same input never allocates, and overflow inputs that
+	// one-shot division fits.
 	env.ExpectedDivisor = len(divisor)
-	if budget := r.budget(); budget > 0 {
+	if budget := r.budget(); budget > 0 && c.n >= 0 {
 		perCand := r.qs.Width() + hashElemOverhead + (len(divisor)+63)/64*8
-		maxCand := budget/perCand + 1
-		if c.n >= 0 && c.n+1 < maxCand {
-			maxCand = c.n + 1
-		}
+		maxCand := min(budget/perCand+1, c.n+1)
 		if env.ExpectedQuotient <= 0 || maxCand < env.ExpectedQuotient {
 			env.ExpectedQuotient = maxCand
 		}
@@ -527,10 +561,7 @@ func (r *RecursiveHashDivision) divideQuotientCell(c rcell, divisor []tuple.Tupl
 	r.stats.Attempts++
 	qts, err := exec.Collect(obs.Instrument(hd, span, r.env.Counters))
 	if err == nil {
-		st := hd.Stats()
-		r.stats.Cells++
-		r.stats.Candidates += st.Candidates
-		r.stats.DividendTuples += st.DividendTuples
+		r.stats.addLeaf(hd.Stats())
 		if c.op == nil && c.file == nil {
 			r.stats.MemResidentCells++
 		}
@@ -574,6 +605,9 @@ func (r *RecursiveHashDivision) repartitionQuotientCell(c rcell, divisor []tuple
 	if parent != nil {
 		pspan = parent.Child(fmt.Sprintf("repartition depth=%d fan=%d", depth+1, fanOut), "recursive-partition")
 	}
+	// The span's window covers the children it parents, so its inclusive
+	// counters cover theirs and its self cost is the partitioning pass.
+	defer pspan.Start(r.env.Counters).End(0)
 	children, err := r.partitionCell(c, ds, route, fanOut)
 	if err != nil {
 		return 0, err
@@ -664,6 +698,7 @@ func (r *RecursiveHashDivision) divideDivisorNode(divisor []tuple.Tuple, c rcell
 	if parent != nil {
 		span = parent.Child(fmt.Sprintf("divisor-repartition depth=%d fan=%d", depth+1, fanOut), "recursive-partition")
 	}
+	defer span.Start(r.env.Counters).End(0)
 	r.env.progressf("recursive: divisor cluster of %d tuples exceeds budget %d at depth %d; re-clustering into %d",
 		len(divisor), r.budget(), depth, fanOut)
 	children, err := r.partitionCell(c, ds, route, fanOut)
@@ -733,11 +768,8 @@ func (r *RecursiveHashDivision) run() error {
 			return err
 		}
 		r.results = qts
-		st := hd.Stats()
-		r.stats = RecursiveStats{
-			Attempts: 1, Cells: 1, MemResidentCells: 1, DivisorLeaves: 1, MaxQuotientCells: 1,
-			Candidates: st.Candidates, DividendTuples: st.DividendTuples,
-		}
+		r.stats = RecursiveStats{Attempts: 1, MemResidentCells: 1, DivisorLeaves: 1, MaxQuotientCells: 1}
+		r.stats.addLeaf(hd.Stats())
 		return nil
 	}
 

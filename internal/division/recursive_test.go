@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"repro/internal/exec"
 	"repro/internal/obs"
 	"repro/internal/storage"
 )
@@ -45,6 +46,31 @@ func skewedWorkload(students, full, courses, dupFactor int, seed int64) ([][2]in
 	return dividend, divisor
 }
 
+// recursiveCheck divides under strat, budget and fan-out cap and fails t
+// unless the quotient equals the reference and no spill file outlives the
+// run.
+func recursiveCheck(t *testing.T, dividend [][2]int64, divisor []int64, strat PartitionStrategy, budget, fanOut int) RecursiveStats {
+	t.Helper()
+	ref, err := Reference(makeSpec(dividend, divisor))
+	if err != nil {
+		t.Fatal(err)
+	}
+	live := storage.LiveSpillFiles()
+	got, st, err := DivideRecursive(makeSpec(dividend, divisor), testEnv(), strat,
+		HashDivisionOptions{MemoryBudget: budget}, RecursiveOptions{MaxFanOut: fanOut})
+	if err != nil {
+		t.Fatalf("%v budget %d fan-out %d: %v", strat, budget, fanOut, err)
+	}
+	if qs := makeSpec(dividend, divisor).QuotientSchema(); !EqualTupleSets(qs, got, ref) {
+		t.Fatalf("%v budget %d fan-out %d: got %d tuples, reference %d (stats %+v)",
+			strat, budget, fanOut, len(got), len(ref), st)
+	}
+	if after := storage.LiveSpillFiles(); after != live {
+		t.Fatalf("%v budget %d: spill files leaked: %d -> %d", strat, budget, live, after)
+	}
+	return st
+}
+
 // TestRecursiveMatchesReferenceUnderPressure is the out-of-core property
 // test: recursive division must agree with the brute-force reference on a
 // skewed, duplicate-heavy workload across the whole budget range, for both
@@ -82,6 +108,58 @@ func TestRecursiveMatchesReferenceUnderPressure(t *testing.T) {
 					t.Fatalf("spill files leaked: %d -> %d", live, after)
 				}
 			})
+		}
+	}
+}
+
+// TestRecursiveRootFitsWhereOneShotFits pins the root attempt's sizing: the
+// root's size is unknown, so its tables start as a one-shot hash-division's
+// do, and at every budget a one-shot budgeted NewHashDivision fits, the
+// recursive run makes that one attempt and spills nothing.
+func TestRecursiveRootFitsWhereOneShotFits(t *testing.T) {
+	wide := func() ([][2]int64, []int64) {
+		rng := rand.New(rand.NewSource(7))
+		divisor := make([]int64, 16)
+		for i := range divisor {
+			divisor[i] = int64(i)
+		}
+		var dividend [][2]int64
+		for s := 0; s < 2000; s++ {
+			for _, c := range divisor {
+				if s%2 == 0 || rng.Intn(5) > 0 {
+					dividend = append(dividend, [2]int64{int64(s), c})
+				}
+			}
+			dividend = append(dividend, [2]int64{int64(s), 100 + int64(rng.Intn(4))})
+		}
+		return dividend, divisor
+	}
+	skewed := func() ([][2]int64, []int64) { return skewedWorkload(400, 25, 10, 3, 42) }
+	for name, gen := range map[string]func() ([][2]int64, []int64){"wide": wide, "skewed": skewed} {
+		dividend, divisor := gen()
+		free := NewHashDivision(makeSpec(dividend, divisor), testEnv(), HashDivisionOptions{})
+		if _, err := exec.Collect(free); err != nil {
+			t.Fatal(err)
+		}
+		peak := free.Stats().PeakTableBytes
+		fits := 0
+		for budget := peak * 9 / 10; budget <= peak*3/2; budget += peak / 50 {
+			oneShot := NewHashDivision(makeSpec(dividend, divisor), testEnv(), HashDivisionOptions{MemoryBudget: budget})
+			if _, err := exec.Collect(oneShot); err != nil {
+				if !errors.Is(err, ErrMemoryBudget) {
+					t.Fatal(err)
+				}
+				continue
+			}
+			fits++
+			st := recursiveCheck(t, dividend, divisor, QuotientPartitioning, budget, 0)
+			if st.Attempts != 1 || st.SpillBytes != 0 {
+				t.Errorf("%s: one-shot fits %d bytes, recursive made %d attempts and spilled %d bytes",
+					name, budget, st.Attempts, st.SpillBytes)
+			}
+		}
+		if fits == 0 {
+			t.Fatalf("%s: no budget in the sweep fit the one-shot division (peak %d)", name, peak)
 		}
 	}
 }
@@ -169,61 +247,30 @@ func TestRecursiveNoBudgetIsPlainDivision(t *testing.T) {
 	}
 }
 
-// TestAdaptiveReportsWaste pins the satellite contract for the adaptive
-// shim: abandoned attempts are counted, their absorbed tuples reported, and
-// the totals land on the obs registry.
+// TestAdaptiveReportsWaste pins the overflow accounting: abandoned
+// attempts are counted, their absorbed tuples reported, and the totals land
+// on the obs registry.
 func TestAdaptiveReportsWaste(t *testing.T) {
 	dividend, divisor := skewedWorkload(400, 25, 10, 3, 11)
 	inputBytes := len(dividend) * transcriptSchema.Width()
-	before := obs.Default.Get("division.adaptive.attempts")
-	beforeWaste := obs.Default.Get("division.adaptive.wasted_tuples")
+	before := obs.Default.Get("division.attempts.overflowed")
+	beforeWaste := obs.Default.Get("division.attempts.wasted_tuples")
 
-	got, st, err := DivideAdaptiveStats(makeSpec(dividend, divisor), testEnv(), inputBytes*5/100, 64)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ref, err := Reference(makeSpec(dividend, divisor))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !EqualTupleSets(makeSpec(dividend, divisor).QuotientSchema(), got, ref) {
-		t.Fatal("adaptive quotient mismatch")
-	}
+	st := recursiveCheck(t, dividend, divisor, DivisorPartitioning, inputBytes*5/100, 0)
 	if st.Overflowed == 0 || st.WastedTuples == 0 {
 		t.Fatalf("expected abandoned attempts to be reported: %+v", st)
 	}
 	if st.Attempts <= st.Overflowed {
 		t.Fatalf("attempts must include the successful ones: %+v", st)
 	}
-	if st.Kd < 1 || st.Kq < 1 {
+	if st.DivisorLeaves < 1 || st.MaxQuotientCells < 1 {
 		t.Fatalf("grid must be at least 1x1: %+v", st)
 	}
-	if obs.Default.Get("division.adaptive.attempts") <= before {
-		t.Fatal("division.adaptive.attempts not published")
+	if obs.Default.Get("division.attempts.overflowed") <= before {
+		t.Fatal("division.attempts.overflowed not published")
 	}
-	if obs.Default.Get("division.adaptive.wasted_tuples") <= beforeWaste {
-		t.Fatal("division.adaptive.wasted_tuples not published")
-	}
-}
-
-// TestAdaptiveShimMatchesStats pins the compatibility shim's return values
-// against the stats entry point.
-func TestAdaptiveShimMatchesStats(t *testing.T) {
-	dividend, divisor := skewedWorkload(100, 10, 6, 2, 5)
-	qts, kd, kq, err := DivideAdaptive(makeSpec(dividend, divisor), testEnv(), 2048, 64)
-	if err != nil {
-		t.Fatal(err)
-	}
-	qts2, st, err := DivideAdaptiveStats(makeSpec(dividend, divisor), testEnv(), 2048, 64)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if kd != st.Kd || kq != st.Kq {
-		t.Fatalf("shim grid (%d,%d) != stats grid (%d,%d)", kd, kq, st.Kd, st.Kq)
-	}
-	qs := makeSpec(dividend, divisor).QuotientSchema()
-	if !EqualTupleSets(qs, qts, qts2) {
-		t.Fatal("shim and stats quotients differ")
+	if obs.Default.Get("division.attempts.wasted_tuples") <= beforeWaste {
+		t.Fatal("division.attempts.wasted_tuples not published")
 	}
 }
 
@@ -253,13 +300,13 @@ func TestRecursiveSeededRerunSkipsDoomedAttempt(t *testing.T) {
 	if st1.Overflowed == 0 || st1.WastedTuples == 0 {
 		t.Fatalf("workload not sized to overflow the root attempt: %+v", st1)
 	}
-	if st1.Candidates == 0 || st1.DividendTuples == 0 {
+	if st1.Leaves.Candidates == 0 || st1.Leaves.DividendTuples == 0 {
 		t.Fatalf("cold run recorded no feedback statistics: %+v", st1)
 	}
 
 	warm, st2, err := DivideRecursive(sp(), testEnv(), QuotientPartitioning,
 		HashDivisionOptions{MemoryBudget: budget},
-		RecursiveOptions{SeedCandidates: st1.Candidates, SeedDividend: st1.DividendTuples})
+		RecursiveOptions{SeedCandidates: st1.Leaves.Candidates, SeedDividend: st1.Leaves.DividendTuples})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -276,11 +323,40 @@ func TestRecursiveSeededRerunSkipsDoomedAttempt(t *testing.T) {
 	// A seed that predicts a comfortable fit must leave the run untouched.
 	fit, st3, err := DivideRecursive(sp(), testEnv(), QuotientPartitioning,
 		HashDivisionOptions{MemoryBudget: 64 << 20},
-		RecursiveOptions{SeedCandidates: st1.Candidates, SeedDividend: st1.DividendTuples})
+		RecursiveOptions{SeedCandidates: st1.Leaves.Candidates, SeedDividend: st1.Leaves.DividendTuples})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !EqualTupleSets(qs, fit, ref) || st3.SkippedAttempts != 0 || st3.Overflowed != 0 {
 		t.Fatalf("fitting seed changed behavior: %+v", st3)
+	}
+}
+
+// TestSplitGrant pins the one split of a memory grant that the server and
+// the exchange workers share: the pool and the tables never sum past the
+// grant, the pool gets a quarter but at least its floor, and a grant no
+// larger than the floor leaves the tables nothing.
+func TestSplitGrant(t *testing.T) {
+	const kb = 1 << 10
+	for _, c := range []struct {
+		grant       int64
+		pool, table int
+	}{
+		{192 * kb, 48 * kb, 144 * kb}, // the server-ingest grant
+		{128 * kb, 32 * kb, 96 * kb},
+		{64 * kb, 16 * kb, 48 * kb}, // server.MinQueryBytes
+		{32 * kb, 8 * kb, 24 * kb},
+		{16 * kb, 8 * kb, 8 * kb},
+		{9 * kb, 8 * kb, 1 * kb},
+		{8 * kb, 8 * kb, 0},
+		{1, 1, 0},
+	} {
+		pool, table := SplitGrant(c.grant)
+		if pool != c.pool || table != c.table {
+			t.Errorf("SplitGrant(%d) = %d pool + %d tables, want %d + %d", c.grant, pool, table, c.pool, c.table)
+		}
+		if int64(pool+table) > c.grant {
+			t.Errorf("SplitGrant(%d) over-commits: %d + %d", c.grant, pool, table)
+		}
 	}
 }

@@ -355,6 +355,30 @@ collect:
 	return err
 }
 
+// drainJob reads and discards a budget job's input frames: the divisor, and
+// the dividend unless the coordinator awaits a filter frame in between.
+func drainJob(fr *frameReader, j jobHeader) error {
+	ends := []byte{frameDivisorEnd, frameDividendEnd}
+	if j.SendFilter {
+		ends = ends[:1]
+	}
+	for _, end := range ends {
+		for {
+			h, payload, _, err := fr.next()
+			if err != nil {
+				return err
+			}
+			if h.Type == frameError {
+				return errRemote(payload)
+			}
+			if h.Type == end {
+				break
+			}
+		}
+	}
+	return nil
+}
+
 // spoolFrames absorbs one batch phase into a spill file, calling perTuple on
 // every tuple, until the matching end frame arrives. The appender is closed
 // on every exit so no buffered page outlives a failed phase.
@@ -403,26 +427,26 @@ func spoolFrames(fr *frameReader, file *storage.File, schema *tuple.Schema,
 // runBudgetJob is runJob under a memory grant (jobHeader.Budget): both input
 // streams are spooled to spill files on a per-job temp device as they arrive,
 // and the local division runs through division.DivideRecursive with the
-// grant split exactly like server/executor.go splits a session grant — a
-// quarter buffers spill I/O, the rest bounds the hash tables. A partition
-// larger than the grant re-partitions recursively instead of growing the
-// tables without bound; only past the recursion depth cap does the job fail,
-// with the typed sentinel classified onto the wire for the coordinator.
+// grant split by division.SplitGrant, as the server splits a session grant.
+// A partition larger than the grant re-partitions recursively instead of
+// growing the tables without bound; only past the recursion depth cap does
+// the job fail, with the typed sentinel classified onto the wire for the
+// coordinator.
 func runBudgetJob(conn net.Conn, fr *frameReader, j jobHeader, qs *tuple.Schema) (err error) {
 	obs.Default.Counter("net.worker.budget_jobs").Inc()
 	ds := j.Dividend
 	ss := j.Divisor
 
-	poolBytes := int(j.Budget / 4)
-	if min := 8 * disk.PaperRunPageSize; poolBytes < min {
-		poolBytes = min
-	}
-	tableBytes := int(j.Budget) - poolBytes
+	poolBytes, tableBytes := division.SplitGrant(j.Budget)
 	if tableBytes < 1 {
-		// A grant below the pool floor: every in-memory attempt overflows
-		// immediately and the recursion's depth cap converts the impossible
-		// budget into the typed ErrPartitionDepth.
-		tableBytes = 1
+		// No table memory beside the pool floor: no cell can ever fit,
+		// the outcome the depth cap reports. The job's input is drained
+		// first, so the coordinator reads this error, not a reset link.
+		if err := drainJob(fr, j); err != nil {
+			return err
+		}
+		return fmt.Errorf("netexchange: grant of %d bytes leaves no table memory beside a %d-byte spill pool: %w",
+			j.Budget, poolBytes, division.ErrPartitionDepth)
 	}
 	dev := disk.NewDevice(fmt.Sprintf("netexchange-w%d-temp", j.WorkerID), disk.PaperRunPageSize)
 	pool := buffer.New(poolBytes)

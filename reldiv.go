@@ -243,15 +243,19 @@ type Options struct {
 	// AssumeUniqueInputs skips duplicate handling in the sort- and
 	// aggregation-based algorithms (hash-division never needs it).
 	AssumeUniqueInputs bool
-	// MemoryBudget bounds hash-division's table memory in bytes; when the
-	// tables outgrow it the division transparently escalates to quotient
-	// partitioning (§3.4).
+	// MemoryBudget bounds the hash tables of a serial run in bytes. When
+	// set, Divide, DivideContext, ExplainAnalyze, DivideWithStats and
+	// DivideStream all run recursive hash-division whatever the Algorithm:
+	// a cell whose tables outgrow the budget is re-partitioned (§3.4) and
+	// spilled, cell by cell, until every cell fits. A budget too small for
+	// any cell fails with a typed error (division.ErrMemoryBudget or
+	// division.ErrPartitionDepth). Runs with Workers > 1 ignore it.
 	MemoryBudget int
 	// Workers > 1 runs hash-division on a simulated shared-nothing
 	// multi-processor (§6).
 	Workers int
 	// DivisorPartitioned selects divisor partitioning instead of quotient
-	// partitioning for parallel runs.
+	// partitioning, for parallel runs and for budgeted serial runs.
 	DivisorPartitioned bool
 	// BitVectorFilter enables Babb bit-vector filtering of the dividend
 	// shuffle in parallel runs.
@@ -327,15 +331,30 @@ func DivideContext(ctx context.Context, dividend, divisor *Relation, on []string
 }
 
 func divideContext(ctx context.Context, dividend, divisor *Relation, on []string, opts *Options) (*Relation, error) {
-	o := opts.orDefault()
-	if o.Timeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, o.Timeout)
-		defer cancel()
+	return execute(ctx, dividend, divisor, on, opts.orDefault(), nil, nil)
+}
+
+// ExplainAnalyze executes the division with full instrumentation and returns
+// the quotient alongside the executed profile: a span tree annotated with
+// rows, wall time, and per-operator exec.Counters deltas whose selves sum to
+// the query total. Parallel runs (Workers > 1) profile per-worker spans with
+// rows and wall time only — worker counters would race.
+func ExplainAnalyze(dividend, divisor *Relation, on []string, opts *Options) (*Relation, *obs.Profile, error) {
+	counters := &exec.Counters{}
+	tracer := obs.NewTracer()
+	rel, err := execute(context.Background(), dividend, divisor, on, opts.orDefault(), tracer, counters)
+	if err != nil {
+		return nil, nil, err
 	}
+	return rel, tracer.Profile(counters), nil
+}
+
+// newSpec resolves the match columns and returns the division over
+// in-memory scans of both relations, plus the empty result relation.
+func newSpec(dividend, divisor *Relation, on []string) (division.Spec, *Relation, error) {
 	cols, err := matchColumns(dividend, divisor, on)
 	if err != nil {
-		return nil, err
+		return division.Spec{}, nil, err
 	}
 	sp := division.Spec{
 		Dividend:    exec.NewMemScan(dividend.schema, dividend.tuples),
@@ -343,22 +362,34 @@ func divideContext(ctx context.Context, dividend, divisor *Relation, on []string
 		DivisorCols: cols,
 	}
 	if err := sp.Validate(); err != nil {
-		return nil, err
+		return division.Spec{}, nil, err
 	}
-	result := &Relation{
+	return sp, &Relation{
 		name:   fmt.Sprintf("%s÷%s", dividend.name, divisor.name),
 		schema: sp.QuotientSchema(),
+	}, nil
+}
+
+// execute runs Divide and ExplainAnalyze; tracer and counters are nil
+// unless profiling.
+func execute(ctx context.Context, dividend, divisor *Relation, on []string, o Options,
+	tracer *obs.Tracer, counters *exec.Counters) (*Relation, error) {
+	if o.Timeout > 0 {
+		var cancel context.CancelFunc
+		ctx, cancel = context.WithTimeout(ctx, o.Timeout)
+		defer cancel()
+	}
+	sp, result, err := newSpec(dividend, divisor, on)
+	if err != nil {
+		return nil, err
 	}
 
 	if o.Workers > 1 {
-		strategy := division.QuotientPartitioning
-		if o.DivisorPartitioned {
-			strategy = division.DivisorPartitioning
-		}
 		res, err := parallel.DivideContext(ctx, sp, parallel.Config{
 			Workers:         o.Workers,
-			Strategy:        strategy,
+			Strategy:        o.strategy(),
 			BitVectorFilter: o.BitVectorFilter,
+			Trace:           tracer,
 		})
 		if err != nil {
 			return nil, err
@@ -368,31 +399,18 @@ func divideContext(ctx context.Context, dividend, divisor *Relation, on []string
 	}
 	wrapCancel(ctx, &sp)
 
-	env := division.Env{
-		Pool:               buffer.New(buffer.PaperPoolBytes),
-		TempDev:            disk.NewDevice("temp", disk.PaperRunPageSize),
-		AssumeUniqueInputs: o.AssumeUniqueInputs,
-		ExpectedDivisor:    divisor.NumRows(),
-	}
-
-	if o.MemoryBudget > 0 {
-		qts, _, err := division.DivideWithBudget(sp, env, o.MemoryBudget, 0)
-		if err != nil {
-			return nil, err
-		}
-		result.tuples = qts
-		return result, nil
-	}
-
 	alg := o.Algorithm
 	if alg == Auto {
 		alg = choose(dividend, divisor)
 	}
-	ialg, err := alg.internal()
-	if err != nil {
-		return nil, err
-	}
-	op, err := division.NewWithOptions(ialg, sp, env, division.HashDivisionOptions{EarlyEmit: o.EarlyEmit})
+	op, err := serialDivision(alg, sp, division.Env{
+		Pool:               buffer.New(buffer.PaperPoolBytes),
+		TempDev:            disk.NewDevice("temp", disk.PaperRunPageSize),
+		AssumeUniqueInputs: o.AssumeUniqueInputs,
+		ExpectedDivisor:    divisor.NumRows(),
+		Counters:           counters,
+		Trace:              tracer,
+	}, o)
 	if err != nil {
 		return nil, err
 	}
@@ -404,86 +422,33 @@ func divideContext(ctx context.Context, dividend, divisor *Relation, on []string
 	return result, nil
 }
 
-// ExplainAnalyze executes the division with full instrumentation and returns
-// the quotient alongside the executed profile: a span tree annotated with
-// rows, wall time, and per-operator exec.Counters deltas whose selves sum to
-// the query total. Parallel runs (Workers > 1) profile per-worker spans with
-// rows and wall time only — worker counters would race.
-func ExplainAnalyze(dividend, divisor *Relation, on []string, opts *Options) (*Relation, *obs.Profile, error) {
-	o := opts.orDefault()
-	cols, err := matchColumns(dividend, divisor, on)
-	if err != nil {
-		return nil, nil, err
+// strategy is the partitioning strategy Options selects.
+func (o Options) strategy() division.PartitionStrategy {
+	if o.DivisorPartitioned {
+		return division.DivisorPartitioning
 	}
-	sp := division.Spec{
-		Dividend:    exec.NewMemScan(dividend.schema, dividend.tuples),
-		Divisor:     exec.NewMemScan(divisor.schema, divisor.tuples),
-		DivisorCols: cols,
-	}
-	if err := sp.Validate(); err != nil {
-		return nil, nil, err
-	}
-	counters := &exec.Counters{}
-	tracer := obs.NewTracer()
-	result := &Relation{
-		name:   fmt.Sprintf("%s÷%s", dividend.name, divisor.name),
-		schema: sp.QuotientSchema(),
-	}
+	return division.QuotientPartitioning
+}
 
-	if o.Workers > 1 {
-		strategy := division.QuotientPartitioning
-		if o.DivisorPartitioned {
-			strategy = division.DivisorPartitioning
-		}
-		res, err := parallel.Divide(sp, parallel.Config{
-			Workers:         o.Workers,
-			Strategy:        strategy,
-			BitVectorFilter: o.BitVectorFilter,
-			Trace:           tracer,
-		})
-		if err != nil {
-			return nil, nil, err
-		}
-		result.tuples = res.Quotient
-		return result, tracer.Profile(counters), nil
-	}
-
-	env := division.Env{
-		Pool:               buffer.New(buffer.PaperPoolBytes),
-		TempDev:            disk.NewDevice("temp", disk.PaperRunPageSize),
-		AssumeUniqueInputs: o.AssumeUniqueInputs,
-		ExpectedDivisor:    divisor.NumRows(),
-		Counters:           counters,
-		Trace:              tracer,
-	}
-
+// serialDivision builds the operator every serial entry point runs. Without
+// a MemoryBudget it is alg as division.NewWithOptions builds it. With one,
+// whatever alg, it is recursive hash-division under that budget (§3.4),
+// partitioned as o.strategy says: the engine the server and the exchange
+// workers run under their grants. A traced recursive run records into its
+// own span, so the profile's root operator counts the quotient rows.
+func serialDivision(alg Algorithm, sp division.Spec, env division.Env, o Options) (exec.Operator, error) {
 	if o.MemoryBudget > 0 {
-		qts, _, err := division.DivideWithBudget(sp, env, o.MemoryBudget, 0)
-		if err != nil {
-			return nil, nil, err
-		}
-		result.tuples = qts
-		return result, tracer.Profile(counters), nil
-	}
-
-	alg := o.Algorithm
-	if alg == Auto {
-		alg = choose(dividend, divisor)
+		span := env.ProfileParent().Child("recursive-hash-division", "division")
+		env.ProfileSpan = span
+		op := division.NewRecursiveHashDivision(sp, env, o.strategy(),
+			division.HashDivisionOptions{MemoryBudget: o.MemoryBudget}, division.RecursiveOptions{})
+		return obs.Instrument(op, span, env.Counters), nil
 	}
 	ialg, err := alg.internal()
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	op, err := division.NewWithOptions(ialg, sp, env, division.HashDivisionOptions{EarlyEmit: o.EarlyEmit})
-	if err != nil {
-		return nil, nil, err
-	}
-	qts, err := exec.Collect(op)
-	if err != nil {
-		return nil, nil, err
-	}
-	result.tuples = qts
-	return result, tracer.Profile(counters), nil
+	return division.NewWithOptions(ialg, sp, env, division.HashDivisionOptions{EarlyEmit: o.EarlyEmit})
 }
 
 // ExplainPlan renders the logical plans the optimizer rule compares for this
@@ -520,51 +485,48 @@ func ExplainPlan(dividend, divisor *Relation, on []string) (original, rewritten 
 }
 
 // RunStats reports what one hash-division execution did, EXPLAIN
-// ANALYZE-style.
+// ANALYZE-style. Under Options.MemoryBudget the division runs cell by cell:
+// the counts are summed over the cells divided in memory (each reads the
+// divisor, or its cluster of it, again), and PeakTableBytes is the largest
+// cell's, at most the budget.
 type RunStats struct {
 	DivisorTuples    int64 // divisor rows read
 	DivisorDistinct  int64 // after on-the-fly duplicate elimination
 	DividendTuples   int64 // dividend rows read
 	DiscardedNoMatch int64 // dividend rows with no divisor match (dropped in step 2)
 	Candidates       int64 // quotient candidates entered in the quotient table
-	QuotientRows     int64 // candidates whose bit map had no zero
+	QuotientRows     int64 // rows of the quotient
 	PeakTableBytes   int   // high-water mark of the two hash tables
 }
 
-// DivideWithStats runs hash-division and returns the quotient together with
-// the execution statistics.
+// DivideWithStats runs hash-division serially, whatever Options.Algorithm
+// and Options.Workers say, and returns the quotient together with the
+// execution statistics.
 func DivideWithStats(dividend, divisor *Relation, on []string, opts *Options) (*Relation, RunStats, error) {
 	o := opts.orDefault()
-	cols, err := matchColumns(dividend, divisor, on)
+	sp, result, err := newSpec(dividend, divisor, on)
 	if err != nil {
 		return nil, RunStats{}, err
 	}
-	sp := division.Spec{
-		Dividend:    exec.NewMemScan(dividend.schema, dividend.tuples),
-		Divisor:     exec.NewMemScan(divisor.schema, divisor.tuples),
-		DivisorCols: cols,
-	}
-	if err := sp.Validate(); err != nil {
-		return nil, RunStats{}, err
-	}
-	env := division.Env{
+	op, err := serialDivision(HashDivision, sp, division.Env{
 		Pool:            buffer.New(buffer.PaperPoolBytes),
 		TempDev:         disk.NewDevice("temp", disk.PaperRunPageSize),
 		ExpectedDivisor: divisor.NumRows(),
-	}
-	hd := division.NewHashDivision(sp, env, division.HashDivisionOptions{
-		EarlyEmit:    o.EarlyEmit,
-		MemoryBudget: o.MemoryBudget,
-	})
-	qts, err := exec.Collect(hd)
+	}, o)
 	if err != nil {
 		return nil, RunStats{}, err
 	}
-	st := hd.Stats()
-	result := &Relation{
-		name:   fmt.Sprintf("%s÷%s", dividend.name, divisor.name),
-		schema: sp.QuotientSchema(),
-		tuples: qts,
+	qts, err := exec.Collect(op)
+	if err != nil {
+		return nil, RunStats{}, err
+	}
+	result.tuples = qts
+	var st division.HashDivisionStats
+	switch op := op.(type) {
+	case *division.HashDivision:
+		st = op.Stats()
+	case *division.RecursiveHashDivision:
+		st = op.Stats().Leaves
 	}
 	return result, RunStats{
 		DivisorTuples:    st.DivisorTuples,
@@ -572,7 +534,7 @@ func DivideWithStats(dividend, divisor *Relation, on []string, opts *Options) (*
 		DividendTuples:   st.DividendTuples,
 		DiscardedNoMatch: st.DiscardedNoMatch,
 		Candidates:       st.Candidates,
-		QuotientRows:     st.QuotientTuples,
+		QuotientRows:     int64(len(qts)),
 		PeakTableBytes:   st.PeakTableBytes,
 	}, nil
 }

@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"repro/internal/buffer"
-	"repro/internal/disk"
 	"repro/internal/division"
 	"repro/internal/exec"
 	"repro/internal/rewrite"
@@ -95,17 +94,10 @@ func (s *Server) divide(ctx context.Context, req Request, quota *spillQuota) *Re
 		s.cache.store(key, gens)
 	}
 
-	// Split the grant: a quarter buffers spill I/O, the rest is the hash
-	// table budget — which also caps the sort space of any sort the plan
-	// runs (division.Env.MemoryBudget).
-	poolBytes := int(need / 4)
-	if min := 8 * disk.PaperRunPageSize; poolBytes < min {
-		poolBytes = min
-	}
-	tableBytes := int(need) - poolBytes
-	if tableBytes < poolBytes {
-		tableBytes = poolBytes
-	}
+	// Split the grant between the spill pool and the hash tables, whose
+	// budget also caps the sort space of any sort the plan runs.
+	// MinQueryBytes leaves both a share.
+	poolBytes, tableBytes := division.SplitGrant(need)
 
 	// The session spill quota wraps the query's temp device: the first
 	// write to each page charges the session ceiling, Free credits it, and
@@ -145,7 +137,7 @@ func (s *Server) divide(ctx context.Context, req Request, quota *spillQuota) *Re
 		}
 		return &Response{Error: err.Error(), Code: code}
 	}
-	s.cache.updateSeeds(key, st.Candidates, st.DividendTuples)
+	s.cache.updateSeeds(key, st.Leaves.Candidates, st.Leaves.DividendTuples)
 
 	qs := sp.QuotientSchema()
 	rows := make([][]int64, len(qts))

@@ -190,25 +190,13 @@ func DivideStreamContext(ctx context.Context, dividend, divisor StreamInput, on 
 		AssumeUniqueInputs: o.AssumeUniqueInputs,
 	}
 
-	var op exec.Operator
 	alg := o.Algorithm
 	if alg == Auto {
 		alg = HashDivision
 	}
-	if alg == HashDivision {
-		op = division.NewHashDivision(sp, env, division.HashDivisionOptions{
-			EarlyEmit:    o.EarlyEmit,
-			MemoryBudget: o.MemoryBudget,
-		})
-	} else {
-		ialg, err := alg.internal()
-		if err != nil {
-			return err
-		}
-		op, err = division.New(ialg, sp, env)
-		if err != nil {
-			return err
-		}
+	op, err := serialDivision(alg, sp, env, o)
+	if err != nil {
+		return err
 	}
 
 	qs := sp.QuotientSchema()

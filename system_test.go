@@ -130,15 +130,17 @@ func TestFullSystem(t *testing.T) {
 	}
 	assertNoFixed("indexed naive division")
 
-	// 3. Partitioned, adaptive, and combined hash-division under a budget.
-	qts, kd, kq, err := division.DivideAdaptive(storageSpec(), env, 24*1024, 64)
+	// 3. Recursive hash-division under a budget, partitioning both sides.
+	qts, st, err := division.DivideRecursive(storageSpec(), env, division.DivisorPartitioning,
+		division.HashDivisionOptions{MemoryBudget: 24 * 1024}, division.RecursiveOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !division.EqualTupleSets(qs, qts, ref) {
-		t.Errorf("adaptive (%d,%d): wrong quotient", kd, kq)
+		t.Errorf("recursive (%d divisor leaves, %d quotient cells): wrong quotient",
+			st.DivisorLeaves, st.MaxQuotientCells)
 	}
-	assertNoFixed("adaptive partitioned hash-division")
+	assertNoFixed("recursive partitioned hash-division")
 
 	// 4. Parallel execution with bit-vector filtering.
 	res, err := parallel.Divide(memSpec(), parallel.Config{
